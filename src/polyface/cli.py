@@ -156,7 +156,7 @@ def _parse_selector(token: str, vs: VertexSet) -> Vertex01:
         raise ParseError(f"bad vertex selector: {token!r}") from None
     if not 0 <= index < len(vs):
         raise ParseError(f"vertex index {index} out of range [0, {len(vs)})")
-    return vs.vertices[index]
+    return Vertex01(vs.layout.dim, vs.words[index])
 
 
 def _resolve_subset(args, vs: VertexSet) -> list[Vertex01]:

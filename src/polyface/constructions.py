@@ -16,7 +16,9 @@ witnesses, never crashes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .core import (
     AffineMapQ,
@@ -25,12 +27,12 @@ from .core import (
     Permutation,
     Vertex01,
     VertexSet,
-    lop_pair_bits,
     lop_vertex_to_perm,
-    lop_word_from_positions,
     pair_index,
+    perm_to_lop_vertex,
     pairs,
     triples,
+    word_to_string,
 )
 from .errors import (
     CapacityError,
@@ -39,7 +41,7 @@ from .errors import (
     InvalidVertexError,
     ParseError,
 )
-from .faces import FaceSystem, extract_face
+from .faces import FaceSystem, extract_face, is_valid_inequality
 from .generators import (
     DEFAULT_MAX_PERMS,
     FourOnesMatrix,
@@ -135,15 +137,71 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _coeffs(layout: CoordLayout, terms: dict[str, int]) -> tuple[int, ...]:
+    """Coefficients over ``layout``: ``terms[label]`` at each listed label, 0 elsewhere."""
+    coeffs = [0] * layout.dim
+    for label, c in terms.items():
+        coeffs[layout.index_of(label)] = c
+    return tuple(coeffs)
+
+
+def _form(layout: CoordLayout, terms: dict, relation: str = "=", rhs: int = 0) -> LinearForm:
+    return LinearForm(_coeffs(layout, terms), relation, rhs)
+
+
+def _y(a: int, b: int) -> str:
+    """Label of the order coordinate y(a,b)."""
+    return f"y({a},{b})"
+
+
+def _check_identities(
+    report: Report, face: VertexSet, name: str, identities: list[tuple[str, LinearForm]]
+) -> None:
+    """Assert that every (place, form) identity holds on every face vertex.
+    The witness is the first failing vertex in sorted order, at the first
+    place where it fails."""
+    failures = []
+    for index, (place, form) in enumerate(identities):
+        check = is_valid_inequality(form, face)
+        if not check.valid:
+            failures.append((check.witness.word, index, f"{check.witness} at {place}"))
+    report.check(name, not failures, witness=min(failures)[2] if failures else None)
+
+
+def _check_lifts(
+    report: Report, face: VertexSet, projection: AffineMapQ,
+    lifts: list[tuple[Vertex01, Permutation]], back_name: str,
+) -> list[int]:
+    """Record that each permutation lift lands on the face of the order
+    polytope and projects back onto its target vertex.
+
+    ``lifts`` pairs each target vertex with its lift, in sorted target order;
+    each witness names the first failing target.  Returns the lifted words.
+    """
+    face_words = frozenset(face.words)
+    words = []
+    witness_face = witness_back = None
+    for x, perm in lifts:
+        word = perm_to_lop_vertex(perm).word
+        words.append(word)
+        if witness_face is None and word not in face_words:
+            witness_face = f"lift of {x} -> {perm.sequence_str()}"
+        image = projection.apply_word(word)
+        if witness_back is None and image != x.word:
+            target = "a point that is not 0/1" if image is None else word_to_string(image, x.dim)
+            witness_back = f"lift of {x} projects to {target}"
+    report.check("lift_lands_on_face", witness_face is None, witness=witness_face)
+    report.check(back_name, witness_back is None, witness=witness_back)
+    return words
+
+
 # ---------------------------------------------------------------------------
 # quadric polytope as a face of the linear ordering polytope
 # ---------------------------------------------------------------------------
 
 
 def _bqp_n_from_dim(dim: int) -> int:
-    n = int((2 * dim) ** 0.5)
-    while n * (n + 1) // 2 > dim:
-        n -= 1
+    n = (isqrt(8 * dim + 1) - 1) // 2
     if n < 1 or n * (n + 1) // 2 != dim:
         raise InvalidVertexError(f"dimension {dim} is not of the form n(n+1)/2")
     return n
@@ -159,23 +217,14 @@ def theorem1_system(n: int) -> FaceSystem:
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    m = 2 * n
-    layout = CoordLayout.lop(m)
-    dim = layout.dim
+    layout = CoordLayout.lop(2 * n)
     forms = []
-
-    def eq(entries: dict[tuple[int, int], int]) -> LinearForm:
-        coeffs = [0] * dim
-        for (a, b), c in entries.items():
-            coeffs[pair_index(a, b, m)] = c
-        return LinearForm(tuple(coeffs), "=", 0)
-
     for i, j in pairs(n):
         oi, ei = 2 * i - 1, 2 * i
         oj, ej = 2 * j - 1, 2 * j
-        forms.append(eq({(ei, oj): 1}))
-        forms.append(eq({(oi, ei): 1, (ei, ej): 1, (oi, ej): -1}))
-        forms.append(eq({(oi, oj): 1, (oj, ej): 1, (oi, ej): -1}))
+        forms.append(_form(layout, {_y(ei, oj): 1}))
+        forms.append(_form(layout, {_y(oi, ei): 1, _y(ei, ej): 1, _y(oi, ej): -1}))
+        forms.append(_form(layout, {_y(oi, oj): 1, _y(oj, ej): 1, _y(oi, ej): -1}))
     return FaceSystem(layout, tuple(forms), provenance=f"theorem1(n={n})")
 
 
@@ -184,18 +233,11 @@ def theorem1_project(n: int) -> AffineMapQ:
     x(i,i) = y(2i-1,2i) and x(i,j) = y(2j-1,2j) - y(2i,2j)."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    m = 2 * n
-    source_dim = m * (m - 1) // 2
-    rows = []
-    for i in range(1, n + 1):
-        row = [0] * source_dim
-        row[pair_index(2 * i - 1, 2 * i, m)] = 1
-        rows.append(row)
-    for i, j in pairs(n):
-        row = [0] * source_dim
-        row[pair_index(2 * j - 1, 2 * j, m)] = 1
-        row[pair_index(2 * i, 2 * j, m)] = -1
-        rows.append(row)
+    layout = CoordLayout.lop(2 * n)
+    rows = [_coeffs(layout, {_y(2 * i - 1, 2 * i): 1}) for i in range(1, n + 1)]
+    rows += [
+        _coeffs(layout, {_y(2 * j - 1, 2 * j): 1, _y(2 * i, 2 * j): -1}) for i, j in pairs(n)
+    ]
     return AffineMapQ.linear(rows)
 
 
@@ -253,12 +295,9 @@ def theorem1_verify(
     elif lop.layout != CoordLayout.lop(m):
         raise DimensionMismatchError(f"expected a vertex set of lop({m})")
     report = Report("theorem1", {"n": n})
-    system = theorem1_system(n)
-    extraction = extract_face(lop, system)
-    face = extraction.face
+    face = extract_face(lop, theorem1_system(n)).face
     bqp = bqp_vertices(n)
     projection = theorem1_project(n)
-    dim = lop.layout.dim
 
     report.check(
         "face_cardinality",
@@ -266,94 +305,57 @@ def theorem1_verify(
         witness=f"face has {len(face)} vertices, expected {2 ** n}",
     )
 
-    images = []
-    integral = True
-    bad = None
-    for v in face:
-        coords = projection.apply_vertex(v)
-        if any(c != 0 and c != 1 for c in coords):
-            integral = False
-            bad = v
-            break
-        images.append(sum(int(c) << (bqp.layout.dim - 1 - i) for i, c in enumerate(coords)))
-    bijective = (
-        integral
-        and len(set(images)) == len(face)
-        and set(images) == set(bqp.words)
-    )
+    images = [projection.apply_word(word) for word in face.words]
+    bad = next((w for w, image in zip(face.words, images) if image is None), None)
     report.check(
         "projection_bijective_onto_bqp",
-        bijective,
-        witness=f"non-integral image of {bad}" if not integral else "image set mismatch",
+        bad is None and len(set(images)) == len(face) and set(images) == set(bqp.words),
+        witness="image set mismatch" if bad is None
+        else f"non-integral image of {word_to_string(bad, lop.layout.dim)}",
     )
 
-    def bit(word: int, a: int, b: int) -> int:
-        return (word >> (dim - 1 - pair_index(a, b, m))) & 1
+    # With d_i = y(2i-1,2i) and c = y(2i,2j): y(2i-1,2j) = d_i + c,
+    # y(2i-1,2j-1) = d_i + c - d_j, and c = d_j (1 - d_i), which on 0/1
+    # values is c <= d_j, c + d_i <= 1 and c - d_j + d_i >= 0.
+    host = lop.layout
+    cross_oe, cross_oo, product = [], [], []
+    for i, j in pairs(n):
+        place = f"pair ({i},{j})"
+        d_i, d_j, c = _y(2 * i - 1, 2 * i), _y(2 * j - 1, 2 * j), _y(2 * i, 2 * j)
+        oe, oo = _y(2 * i - 1, 2 * j), _y(2 * i - 1, 2 * j - 1)
+        cross_oe.append((place, _form(host, {oe: 1, d_i: -1, c: -1})))
+        cross_oo.append((place, _form(host, {oo: 1, d_i: -1, c: -1, d_j: 1})))
+        product.append((place, _form(host, {c: 1, d_j: -1}, "<=", 0)))
+        product.append((place, _form(host, {c: 1, d_i: 1}, "<=", 1)))
+        product.append((place, _form(host, {c: 1, d_j: -1, d_i: 1}, ">=", 0)))
+    _check_identities(report, face, "identity_cross_odd_even", cross_oe)
+    _check_identities(report, face, "identity_cross_odd_odd", cross_oo)
+    _check_identities(report, face, "identity_product", product)
 
-    ok_oe = ok_oo = ok_prod = True
-    w_oe = w_oo = w_prod = None
-    for v in face:
-        word = v.word
-        for i, j in pairs(n):
-            d_i = bit(word, 2 * i - 1, 2 * i)
-            d_j = bit(word, 2 * j - 1, 2 * j)
-            cross = bit(word, 2 * i, 2 * j)
-            if ok_oe and bit(word, 2 * i - 1, 2 * j) != d_i + cross:
-                ok_oe, w_oe = False, f"{v} at pair ({i},{j})"
-            if ok_oo and bit(word, 2 * i - 1, 2 * j - 1) != d_i + cross - d_j:
-                ok_oo, w_oo = False, f"{v} at pair ({i},{j})"
-            if ok_prod and cross != d_j * (1 - d_i):
-                ok_prod, w_prod = False, f"{v} at pair ({i},{j})"
-    report.check("identity_cross_odd_even", ok_oe, witness=w_oe)
-    report.check("identity_cross_odd_odd", ok_oo, witness=w_oo)
-    report.check("identity_product", ok_prod, witness=w_prod)
-
-    pair_bits = lop_pair_bits(m)
-    lift_words = []
-    lift_rows = []
-    roundtrip_ok = True
-    on_face_ok = True
-    witness_rt = witness_face = None
-    for x in bqp:
-        perm = theorem1_lift(x)
-        word = lop_word_from_positions(perm.pi, pair_bits)
-        lift_words.append(word)
-        lifted = Vertex01(dim, word)
-        if lifted not in face:
-            on_face_ok = False
-            witness_face = f"lift of {x} -> {perm.sequence_str()}"
-        back = projection.apply(lifted.bits)
-        if tuple(int(c) for c in back) != x.bits:
-            roundtrip_ok = False
-            witness_rt = f"lift of {x} projects to {tuple(back)}"
-        diag = [x.bit(i - 1) for i in range(1, n + 1)]
-        zeros_desc = [i for i in range(n, 0, -1) if diag[i - 1] == 0]
-        ones_desc = [i for i in range(n, 0, -1) if diag[i - 1] == 1]
-        lift_rows.append(
-            {
-                "diagonal": "".join(str(b) for b in diag),
-                "k": len(zeros_desc),
-                "zeros_desc": zeros_desc,
-                "ones_desc": ones_desc,
-                "sequence": perm.sequence_str(),
-            }
-        )
-    report.check("lift_lands_on_face", on_face_ok, witness=witness_face)
-    report.check("lift_roundtrip", roundtrip_ok, witness=witness_rt)
+    lifts = [(x, theorem1_lift(x)) for x in bqp]
+    lift_words = _check_lifts(report, face, projection, lifts, "lift_roundtrip")
     report.check(
         "face_equals_lift_image",
         set(face.words) == set(lift_words),
         witness="face and lift image differ as sets",
     )
 
+    diagonals = [x.to_string()[:n] for x, _ in lifts]
     report.details = {
         "n": n,
         "lop_size": len(lop),
         "face_size": len(face),
-        "face_sequences": [
-            lop_vertex_to_perm(v, m).sequence_str() for v in face
+        "face_sequences": [lop_vertex_to_perm(v, m).sequence_str() for v in face],
+        "lifts": [
+            {
+                "diagonal": diag,
+                "k": diag.count("0"),
+                "zeros_desc": [i for i in range(n, 0, -1) if diag[i - 1] == "0"],
+                "ones_desc": [i for i in range(n, 0, -1) if diag[i - 1] == "1"],
+                "sequence": perm.sequence_str(),
+            }
+            for diag, (_, perm) in zip(diagonals, lifts)
         ],
-        "lifts": lift_rows,
     }
     return report
 
@@ -367,15 +369,12 @@ def lemma1_system(g: Graph) -> FaceSystem:
     """Equalities over the order polytope on [2n] for a graph on [n]:
     y(i, n+j) = 0 and y(j, n+i) = 0 for every edge {i, j}."""
     n = g.n
-    m = 2 * n
-    layout = CoordLayout.lop(m)
-    dim = layout.dim
-    forms = []
-    for i, j in g.sorted_edges():
-        for a, b in ((i, n + j), (j, n + i)):
-            coeffs = [0] * dim
-            coeffs[pair_index(a, b, m)] = 1
-            forms.append(LinearForm(tuple(coeffs), "=", 0))
+    layout = CoordLayout.lop(2 * n)
+    forms = [
+        _form(layout, {_y(a, b): 1})
+        for i, j in g.sorted_edges()
+        for a, b in ((i, n + j), (j, n + i))
+    ]
     edges = ",".join(f"{i}{j}" for i, j in g.sorted_edges())
     return FaceSystem(layout, tuple(forms), provenance=f"lemma1(n={n};edges={edges})")
 
@@ -385,14 +384,8 @@ def lemma1_project(n: int) -> AffineMapQ:
     stable-set coordinates: x(i) = y(i, n+i)."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    m = 2 * n
-    source_dim = m * (m - 1) // 2
-    rows = []
-    for i in range(1, n + 1):
-        row = [0] * source_dim
-        row[pair_index(i, n + i, m)] = 1
-        rows.append(row)
-    return AffineMapQ.linear(rows)
+    layout = CoordLayout.lop(2 * n)
+    return AffineMapQ.linear([_coeffs(layout, {_y(i, n + i): 1}) for i in range(1, n + 1)])
 
 
 def lemma1_lift(x: Vertex01, g: Graph) -> Permutation:
@@ -440,59 +433,30 @@ def lemma1_verify(
         lop = lop_vertices(m, max_perms=max_perms)
     elif lop.layout != CoordLayout.lop(m):
         raise DimensionMismatchError(f"expected a vertex set of lop({m})")
-    report = Report(
-        "lemma1",
-        {"n": n, "edges": [f"{i} {j}" for i, j in g.sorted_edges()]},
-    )
-    extraction = extract_face(lop, lemma1_system(g))
-    face = extraction.face
+    edges = [f"{i} {j}" for i, j in g.sorted_edges()]
+    report = Report("lemma1", {"n": n, "edges": edges})
+    face = extract_face(lop, lemma1_system(g)).face
     stable = stable_vertices(g)
-    dim = lop.layout.dim
+    projection = lemma1_project(n)
 
-    diag_bits = [
-        (i, 1 << (dim - 1 - pair_index(i, n + i, m))) for i in range(1, n + 1)
-    ]
-    fibers: dict[int, int] = {}
-    for word in face.words:
-        image = 0
-        for i, bit in diag_bits:
-            image = (image << 1) | (1 if word & bit else 0)
-        fibers[image] = fibers.get(image, 0) + 1
+    fibers = Counter(projection.apply_word(word) for word in face.words)
     report.check(
         "projection_image_equals_stable_set",
         set(fibers) == set(stable.words),
         witness=f"image size {len(fibers)}, stable size {len(stable)}",
     )
 
-    pair_bits = lop_pair_bits(m)
-    on_face = True
-    projects_back = True
-    witness_face = witness_back = None
-    for x in stable:
-        perm = lemma1_lift(x, g)
-        word = lop_word_from_positions(perm.pi, pair_bits)
-        if Vertex01(dim, word) not in face:
-            on_face = False
-            witness_face = f"lift of {x} -> {perm.sequence_str()}"
-        image = 0
-        for i, bit in diag_bits:
-            image = (image << 1) | (1 if word & bit else 0)
-        if image != x.word:
-            projects_back = False
-            witness_back = f"lift of {x} projects to another vertex"
-    report.check("lift_lands_on_face", on_face, witness=witness_face)
-    report.check("lift_projects_back", projects_back, witness=witness_back)
+    lifts = [(x, lemma1_lift(x, g)) for x in stable]
+    _check_lifts(report, face, projection, lifts, "lift_projects_back")
 
-    stable_layout_dim = stable.layout.dim
     report.details = {
         "n": n,
-        "edges": [f"{i} {j}" for i, j in g.sorted_edges()],
+        "edges": edges,
         "lop_size": len(lop),
         "face_size": len(face),
         "stable_size": len(stable),
         "fibers": {
-            format(w, f"0{stable_layout_dim}b") if stable_layout_dim else "": c
-            for w, c in sorted(fibers.items())
+            word_to_string(w, stable.layout.dim): c for w, c in sorted(fibers.items())
         },
     }
     return report
@@ -529,43 +493,28 @@ def dcp_embedding(m: int) -> DcpEmbedding:
         raise InvalidParameterError(f"need m >= 3 (no triples exist below), got {m}")
     pair_list = pairs(m)
     triple_list = triples(m)
-    npairs = len(pair_list)
     labels = (
-        [f"y({i},{j})" for i, j in pair_list]
+        [_y(i, j) for i, j in pair_list]
         + [f"yb({i},{j})" for i, j in pair_list]
         + ["z", "h"]
         + [f"t({i},{j},{k})" for i, j, k in triple_list]
     )
-    ncols = len(labels)
-    layout = CoordLayout.dcp(ncols, labels)
+    layout = CoordLayout.dcp(len(labels), labels)
 
-    def ycol(i: int, j: int) -> int:
-        return pair_index(i, j, m) + 1
+    def columns(*names: str) -> tuple[int, ...]:
+        return tuple(layout.index_of(name) + 1 for name in names)
 
-    def ybcol(i: int, j: int) -> int:
-        return npairs + pair_index(i, j, m) + 1
-
-    zcol = 2 * npairs + 1
-    hcol = 2 * npairs + 2
-    tcol = {t: 2 * npairs + 2 + idx + 1 for idx, t in enumerate(triple_list)}
-
-    rows = []
-    for i, j in pair_list:
-        rows.append((ycol(i, j), ybcol(i, j), zcol, hcol))
-    for i, j, k in triple_list:
-        rows.append((ycol(i, j), ycol(j, k), ybcol(i, k), tcol[(i, j, k)]))
-    matrix = FourOnesMatrix.from_rows(ncols, rows)
+    rows = [columns(_y(i, j), f"yb({i},{j})", "z", "h") for i, j in pair_list]
+    rows += [
+        columns(_y(i, j), _y(j, k), f"yb({i},{k})", f"t({i},{j},{k})") for i, j, k in triple_list
+    ]
+    matrix = FourOnesMatrix.from_rows(len(labels), rows)
     return DcpEmbedding(m=m, matrix=matrix, layout=layout, fixed={"z": 0, "h": 1})
 
 
 def dcp_face_system(emb: DcpEmbedding) -> FaceSystem:
     """The z = 0, h = 1 equalities over the embedding's column layout."""
-    dim = emb.layout.dim
-    forms = []
-    for label, value in emb.fixed.items():
-        coeffs = [0] * dim
-        coeffs[emb.layout.index_of(label)] = 1
-        forms.append(LinearForm(tuple(coeffs), "=", value))
+    forms = [_form(emb.layout, {label: 1}, "=", value) for label, value in emb.fixed.items()]
     return FaceSystem(emb.layout, tuple(forms), provenance=f"dcp-face(m={emb.m})")
 
 
@@ -601,44 +550,29 @@ def dcp_verify(
     )
 
     dcp_set = dcp_vertices(emb.matrix, max_cols=max_cols, layout=emb.layout)
-    extraction = extract_face(dcp_set, dcp_face_system(emb))
-    face = extraction.face
+    face = extract_face(dcp_set, dcp_face_system(emb)).face
     lop = lop_vertices(m, max_perms=max_perms)
 
-    npairs = len(pairs(m))
-    shift = ncols - npairs
-    projected = {word >> shift for word in face.words}
+    projected = {word >> (ncols - len(pairs(m))) for word in face.words}
     report.check(
         "face_projects_bijectively_onto_lop",
         len(face) == len(lop) and projected == set(lop.words),
         witness=f"face size {len(face)}, lop size {len(lop)}",
     )
 
-    def col_bit(word: int, index: int) -> int:
-        return (word >> (ncols - 1 - index)) & 1
-
-    complements_ok = True
-    slacks_ok = True
-    w_comp = w_slack = None
-    triple_list = triples(m)
-    for v in face:
-        word = v.word
-        for i, j in pairs(m):
-            y = col_bit(word, pair_index(i, j, m))
-            yb = col_bit(word, npairs + pair_index(i, j, m))
-            if yb != 1 - y:
-                complements_ok = False
-                w_comp = f"{v} at pair ({i},{j})"
-        for idx, (i, j, k) in enumerate(triple_list):
-            y_ij = col_bit(word, pair_index(i, j, m))
-            y_jk = col_bit(word, pair_index(j, k, m))
-            y_ik = col_bit(word, pair_index(i, k, m))
-            t = col_bit(word, 2 * npairs + 2 + idx)
-            if t != 1 - (y_ij + y_jk - y_ik):
-                slacks_ok = False
-                w_slack = f"{v} at triple ({i},{j},{k})"
-    report.check("complement_coordinates", complements_ok, witness=w_comp)
-    report.check("slack_coordinates", slacks_ok, witness=w_slack)
+    # On the face, yb(i,j) = 1 - y(i,j) and t(i,j,k) = 1 - (y_ij + y_jk - y_ik).
+    host = emb.layout
+    complements = [
+        (f"pair ({i},{j})", _form(host, {_y(i, j): 1, f"yb({i},{j})": 1}, "=", 1))
+        for i, j in pairs(m)
+    ]
+    slacks = [
+        (f"triple ({i},{j},{k})", _form(
+            host, {_y(i, j): 1, _y(j, k): 1, _y(i, k): -1, f"t({i},{j},{k})": 1}, "=", 1))
+        for i, j, k in triples(m)
+    ]
+    _check_identities(report, face, "complement_coordinates", complements)
+    _check_identities(report, face, "slack_coordinates", slacks)
 
     report.details = {
         "m": m,

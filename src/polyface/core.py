@@ -102,8 +102,9 @@ class CoordLayout:
         self.labels = labels
         self.dim = len(labels)
         self._index = {lab: k for k, lab in enumerate(labels)}
-        if len(self._index) != len(labels):
-            raise InvalidParameterError("coordinate labels must be distinct")
+        # the text header lists labels separated by spaces
+        if len(self._index) != len(labels) or any(str(lab).split() != [lab] for lab in labels):
+            raise InvalidParameterError("coordinate labels must be distinct words")
 
     @staticmethod
     def _dimension(kind: str, param: int) -> int:
@@ -155,14 +156,32 @@ class CoordLayout:
         except KeyError:
             raise InvalidParameterError(f"no coordinate labelled {label!r}") from None
 
+    def _custom_labels(self) -> bool:
+        return self.labels != self._default_labels(self.kind, self.param)
+
     def header(self) -> str:
-        return f"layout {self.kind} {self.param}"
+        """Header of the text formats: ``layout <kind> <param>``, then a
+        ``labels ...`` line when the labels are not the kind's defaults."""
+        line = f"layout {self.kind} {self.param}"
+        if self._custom_labels():
+            line += "\nlabels " + " ".join(self.labels)
+        return line
 
     @classmethod
-    def from_header(cls, line: str) -> "CoordLayout":
-        parts = line.split()
+    def from_header(cls, text: str) -> "CoordLayout":
+        """Parse what ``header`` writes."""
+        layout, rest = cls.split_header(text.splitlines() or [""])
+        if rest:
+            raise ParseError(f"unexpected line after layout header: {rest[0]!r}")
+        return layout
+
+    @classmethod
+    def split_header(cls, lines: Sequence[str]) -> tuple["CoordLayout", list[str]]:
+        """The layout named by the header at the top of ``lines``, and the
+        lines after the header."""
+        parts = lines[0].split()
         if len(parts) != 3 or parts[0] != "layout":
-            raise ParseError(f"bad layout header: {line!r}")
+            raise ParseError(f"bad layout header: {lines[0]!r}")
         kind = parts[1]
         try:
             param = int(parts[2])
@@ -170,17 +189,25 @@ class CoordLayout:
             raise ParseError(f"bad layout parameter: {parts[2]!r}") from None
         if kind not in ("bqp", "lop", "stable", "dcp"):
             raise ParseError(f"unknown layout kind: {kind!r}")
-        return cls(kind, param)
+        if lines[1:] and lines[1].split()[:1] == ["labels"]:
+            return cls(kind, param, lines[1].split()[1:]), list(lines[2:])
+        return cls(kind, param), list(lines[1:])
 
     def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "param": self.param, "dim": self.dim}
+        obj = {"kind": self.kind, "param": self.param, "dim": self.dim}
+        if self._custom_labels():
+            obj["labels"] = list(self.labels)
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CoordLayout":
         try:
-            return cls(obj["kind"], int(obj["param"]))
+            kind, param, labels = obj["kind"], int(obj["param"]), obj.get("labels")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad layout object: {obj!r}") from exc
+        if labels is not None and not isinstance(labels, list):
+            raise ParseError(f"layout labels must be a list: {labels!r}")
+        return cls(kind, param, labels)
 
     def __eq__(self, other) -> bool:
         return (
@@ -219,14 +246,11 @@ class Vertex01:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Vertex01":
-        word = 0
-        dim = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise InvalidVertexError(f"coordinate must be 0 or 1, got {b!r}")
-            word = (word << 1) | b
-            dim += 1
-        return cls(dim, word)
+        bits = tuple(bits)
+        word = _pack(bits)
+        if word is None:
+            raise InvalidVertexError(f"coordinates must be 0 or 1, got {bits!r}")
+        return cls(len(bits), word)
 
     @classmethod
     def from_string(cls, s: str) -> "Vertex01":
@@ -245,10 +269,25 @@ class Vertex01:
         return tuple((self.word >> (self.dim - 1 - i)) & 1 for i in range(self.dim))
 
     def to_string(self) -> str:
-        return format(self.word, f"0{self.dim}b") if self.dim else ""
+        return word_to_string(self.word, self.dim)
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+def word_to_string(word: int, dim: int) -> str:
+    """The coordinates of a packed word of dimension ``dim`` as a 0/1 string."""
+    return format(word, f"0{dim}b") if dim else ""
+
+
+def _pack(values: Iterable) -> int | None:
+    """The packed word of exact coordinate values, or None if one is not 0 or 1."""
+    word = 0
+    for value in values:
+        if value != 0 and value != 1:
+            return None
+        word = (word << 1) | (value == 1)
+    return word
 
 
 def vertex_from_coords(layout: CoordLayout, coords: Sequence) -> Vertex01:
@@ -260,59 +299,60 @@ def vertex_from_coords(layout: CoordLayout, coords: Sequence) -> Vertex01:
         raise DimensionMismatchError(
             f"{len(coords)} coordinates for layout of dimension {layout.dim}"
         )
-    word = 0
-    for c in coords:
-        if c == 0:
-            word <<= 1
-        elif c == 1:
-            word = (word << 1) | 1
-        else:
-            raise InvalidVertexError(f"non-integral coordinate {c!r}")
+    word = _pack(coords)
+    if word is None:
+        raise InvalidVertexError(f"coordinates must be 0 or 1, got {tuple(coords)!r}")
     return Vertex01(layout.dim, word)
 
 
 class VertexSet:
-    """A deduplicated, lexicographically sorted set of vertices of one layout."""
+    """A deduplicated, lexicographically sorted set of vertices of one layout.
 
-    __slots__ = ("layout", "vertices", "_words", "_wordset")
+    Only the packed words are stored; ``Vertex01`` objects are built when a
+    caller iterates or reads ``vertices``.
+    """
+
+    __slots__ = ("layout", "_words", "_wordset")
 
     def __init__(self, layout: CoordLayout, vertices: Iterable[Vertex01]):
-        words = set()
+        words = []
         for v in vertices:
             if v.dim != layout.dim:
                 raise DimensionMismatchError(
                     f"vertex of dim {v.dim} in layout of dim {layout.dim}"
                 )
-            words.add(v.word)
-        ordered = tuple(sorted(words))
-        self.layout = layout
-        self._words = ordered
-        self._wordset = frozenset(ordered)
-        self.vertices = tuple(Vertex01(layout.dim, w) for w in ordered)
+            words.append(v.word)
+        self._store(layout, words)
 
     @classmethod
     def from_words(cls, layout: CoordLayout, words: Iterable[int]) -> "VertexSet":
         vs = cls.__new__(cls)
-        ordered = tuple(sorted(set(words)))
-        if ordered and not 0 <= ordered[-1] < (1 << layout.dim):
-            raise InvalidVertexError("packed word out of range for layout dimension")
-        if ordered and ordered[0] < 0:
-            raise InvalidVertexError("packed word out of range for layout dimension")
-        vs.layout = layout
-        vs._words = ordered
-        vs._wordset = frozenset(ordered)
-        vs.vertices = tuple(Vertex01(layout.dim, w) for w in ordered)
+        vs._store(layout, words)
         return vs
+
+    def _store(self, layout: CoordLayout, words: Iterable[int]) -> None:
+        wordset = frozenset(words)
+        ordered = tuple(sorted(wordset))
+        if ordered and not (ordered[0] >= 0 and ordered[-1] < 1 << layout.dim):
+            raise InvalidVertexError("packed word out of range for layout dimension")
+        self.layout = layout
+        self._words = ordered
+        self._wordset = wordset
 
     @property
     def words(self) -> tuple[int, ...]:
         return self._words
 
+    @property
+    def vertices(self) -> tuple[Vertex01, ...]:
+        return tuple(self)
+
     def __len__(self) -> int:
         return len(self._words)
 
     def __iter__(self) -> Iterator[Vertex01]:
-        return iter(self.vertices)
+        dim = self.layout.dim
+        return (Vertex01(dim, w) for w in self._words)
 
     def __contains__(self, v: Vertex01) -> bool:
         return v.dim == self.layout.dim and v.word in self._wordset
@@ -334,8 +374,9 @@ class VertexSet:
         return VertexSet.from_words(self.layout, words)
 
     def to_text(self) -> str:
+        dim = self.layout.dim
         lines = [self.layout.header()]
-        lines.extend(v.to_string() for v in self.vertices)
+        lines.extend(word_to_string(w, dim) for w in self._words)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -343,8 +384,7 @@ class VertexSet:
         lines = text.splitlines()
         if not lines:
             raise ParseError("empty vertex-set file")
-        layout = CoordLayout.from_header(lines[0])
-        body = lines[1:]
+        layout, body = CoordLayout.split_header(lines)
         if layout.dim > 0:
             body = [ln.strip() for ln in body if ln.strip()]
         verts = [Vertex01.from_string(ln) for ln in body]
@@ -358,7 +398,7 @@ class VertexSet:
     def to_json_obj(self) -> dict:
         return {
             "layout": self.layout.to_json_obj(),
-            "vertices": [v.to_string() for v in self.vertices],
+            "vertices": [word_to_string(w, self.layout.dim) for w in self._words],
         }
 
     @classmethod
@@ -629,10 +669,15 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class AffineMapQ:
-    """Exact rational affine map: coords -> matrix @ coords + offset."""
+    """Exact rational affine map: coords -> matrix @ coords + offset.
+
+    ``apply`` works on arbitrary exact coordinates and is the reference;
+    ``apply_word`` maps packed 0/1 words to packed 0/1 words.
+    """
 
     matrix: tuple[tuple[Fraction, ...], ...]
     offset: tuple[Fraction, ...]
+    _rows: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         if len(self.offset) != len(self.matrix):
@@ -642,6 +687,13 @@ class AffineMapQ:
         widths = {len(row) for row in self.matrix}
         if len(widths) > 1:
             raise DimensionMismatchError("matrix rows of unequal length")
+        # (row as a form, offset) for apply_word; integral entries become ints
+        # so that integer maps evaluate without Fraction arithmetic.
+        rows = tuple(
+            (LinearForm(tuple(_exact(c) for c in row), "=", 0), _exact(off))
+            for row, off in zip(self.matrix, self.offset)
+        )
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def linear(cls, rows: Sequence[Sequence]) -> "AffineMapQ":
@@ -669,3 +721,16 @@ class AffineMapQ:
 
     def apply_vertex(self, v: Vertex01) -> tuple[Fraction, ...]:
         return self.apply(v.bits)
+
+    def apply_word(self, word: int) -> int | None:
+        """Packed image of the packed 0/1 source point ``word``, or None when
+        some image coordinate is not 0 or 1."""
+        if not 0 <= word < 1 << self.source_dim:
+            raise InvalidVertexError(
+                f"packed word {word} out of range for source dimension {self.source_dim}"
+            )
+        return _pack(form.evaluate_word(word) + offset for form, offset in self._rows)
+
+def _exact(q):
+    """An int for an integral rational, the rational itself otherwise."""
+    return q.numerator if q.denominator == 1 else q

@@ -103,8 +103,8 @@ class FaceSystem:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty face-system file")
-        layout = CoordLayout.from_header(lines[0])
-        forms = tuple(LinearForm.parse(ln) for ln in lines[1:])
+        layout, body = CoordLayout.split_header(lines)
+        forms = tuple(LinearForm.parse(ln) for ln in body)
         return cls(layout, forms, provenance)
 
 

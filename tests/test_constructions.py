@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polyface.constructions as constructions
 from polyface import (
     CapacityError,
+    FaceSystem,
     Graph,
     InvalidParameterError,
     InvalidVertexError,
     Report,
     Vertex01,
+    VertexSet,
     bqp_vertices,
     dcp_embedding,
+    dcp_face_system,
     dcp_verify,
+    dcp_vertices,
     extract_face,
     lemma1_lift,
     lemma1_project,
@@ -24,6 +29,7 @@ from polyface import (
     pair_index,
     perm_to_lop_vertex,
     sequence_to_perm,
+    stable_vertices,
     theorem1_lift,
     theorem1_project,
     theorem1_system,
@@ -368,3 +374,121 @@ class TestReport:
         text = theorem1_verify(2).render_text()
         assert "PASS face_cardinality" in text
         assert "result: PASS" in text
+
+
+class TestApplyWord:
+    @pytest.mark.parametrize("project", [theorem1_project, lemma1_project])
+    def test_agrees_with_apply_vertex_on_lop6(self, lop6, project):
+        proj = project(3)
+        off_cube = 0
+        for v in lop6:
+            coords = proj.apply_vertex(v)
+            if all(c in (0, 1) for c in coords):
+                assert proj.apply_word(v.word) == Vertex01.from_bits(coords).word
+            else:
+                off_cube += 1
+                assert proj.apply_word(v.word) is None
+        # x(i,j) = y(2j-1,2j) - y(2i,2j) reaches -1 off the face; a coordinate
+        # projection never leaves the cube
+        assert (off_cube > 0) == (project is theorem1_project)
+
+
+def failing(report: Report) -> dict:
+    return {a.name: a.witness for a in report.assertions if not a.passed}
+
+
+def without(host: VertexSet, words) -> VertexSet:
+    return host.restrict_to_words(w for w in host.words if w not in set(words))
+
+
+class TestVerifierFailures:
+    """Hosts with face vertices removed or added make named assertions fail;
+    every witness names the first failing vertex in sorted order."""
+
+    THEOREM1_N2_LIFTS = {  # face word -> the quadric vertex lifting onto it
+        "000000": ("000", "4321"),
+        "001011": ("010", "3214"),
+        "111000": ("100", "1432"),
+        "101001": ("111", "3142"),
+    }
+
+    @pytest.mark.parametrize("word", sorted(THEOREM1_N2_LIFTS))
+    def test_theorem1_face_vertex_removed(self, word):
+        report = theorem1_verify(2, lop=without(lop_vertices(4), [int(word, 2)]))
+        x, sequence = self.THEOREM1_N2_LIFTS[word]
+        assert failing(report) == {
+            "face_cardinality": "face has 3 vertices, expected 4",
+            "projection_bijective_onto_bqp": "image set mismatch",
+            "lift_lands_on_face": f"lift of {x} -> {sequence}",
+            "face_equals_lift_image": "face and lift image differ as sets",
+        }
+
+    def test_theorem1_first_missing_lift_is_witness(self):
+        report = theorem1_verify(2, lop=without(lop_vertices(4), [0b001011, 0b101001]))
+        assert failing(report)["lift_lands_on_face"] == "lift of 010 -> 3214"
+
+    def test_theorem1_first_bad_roundtrip_is_witness(self, monkeypatch):
+        origin = theorem1_lift(Vertex01.from_string("000"))
+        monkeypatch.setattr(constructions, "theorem1_lift", lambda x: origin)
+        report = theorem1_verify(2)
+        assert failing(report) == {
+            "lift_roundtrip": "lift of 010 projects to 000",
+            "face_equals_lift_image": "face and lift image differ as sets",
+        }
+
+    @pytest.mark.parametrize("word,expected", [
+        ("000000", {"lift_lands_on_face": "lift of 00 -> 4321"}),
+        ("000001", {}),
+        ("000011", {
+            "projection_image_equals_stable_set": "image size 2, stable size 3",
+            "lift_lands_on_face": "lift of 01 -> 3241",
+        }),
+        ("110000", {
+            "projection_image_equals_stable_set": "image size 2, stable size 3",
+            "lift_lands_on_face": "lift of 10 -> 4132",
+        }),
+    ])
+    def test_lemma1_face_vertex_removed(self, word, expected):
+        g = Graph.from_edges(2, [(1, 2)])
+        report = lemma1_verify(g, lop=without(lop_vertices(4), [int(word, 2)]))
+        assert failing(report) == expected
+
+    def test_lemma1_first_missing_lift_is_witness(self):
+        g = Graph.empty(2)
+        lifts = [perm_to_lop_vertex(lemma1_lift(x, g)).word for x in stable_vertices(g)]
+        report = lemma1_verify(g, lop=without(lop_vertices(4), lifts))
+        assert failing(report) == {"lift_lands_on_face": "lift of 00 -> 4321"}
+
+    def test_dcp_first_failing_identity_is_witness(self, monkeypatch):
+        # two extra words on the z=0, h=1 face: y = 000 with yb = 000 or 001,
+        # t = 0; both break a complement and the slack
+        extra = [0b000_000_01_0, 0b000_001_01_0]
+
+        def host(*args, **kwargs):
+            vs = dcp_vertices(*args, **kwargs)
+            return vs.restrict_to_words(list(vs.words) + extra)
+
+        monkeypatch.setattr(constructions, "dcp_vertices", host)
+        assert failing(dcp_verify(3)) == {
+            "face_projects_bijectively_onto_lop": "face size 8, lop size 6",
+            "complement_coordinates": "000000010 at pair (1,2)",
+            "slack_coordinates": "000000010 at triple (1,2,3)",
+        }
+
+
+class TestDcpLayoutRoundTrip:
+    def test_vertex_set_keeps_embedding_labels(self):
+        emb = dcp_embedding(3)
+        vs = dcp_vertices(emb.matrix, layout=emb.layout)
+        assert vs.to_text().splitlines()[:2] == [
+            "layout dcp 9",
+            "labels y(1,2) y(1,3) y(2,3) yb(1,2) yb(1,3) yb(2,3) z h t(1,2,3)",
+        ]
+        assert VertexSet.from_text(vs.to_text()) == vs
+        assert VertexSet.from_json(vs.to_json()) == vs
+
+    def test_face_system_keeps_embedding_labels(self):
+        fs = dcp_face_system(dcp_embedding(3))
+        parsed = FaceSystem.parse(fs.render())
+        assert parsed.layout == fs.layout
+        assert parsed.equalities == fs.equalities

@@ -9,6 +9,7 @@ from polyface import (
     CoordLayout,
     DimensionMismatchError,
     InvalidPairError,
+    InvalidParameterError,
     InvalidPermutationError,
     InvalidVertexError,
     LinearForm,
@@ -149,6 +150,52 @@ class TestVertexSet:
         with pytest.raises(ParseError):
             VertexSet.from_text("layout lop 3\n01\n")
 
+    def test_vertices_built_from_words(self):
+        vs = VertexSet.from_words(CoordLayout.lop(3), [6, 0, 6, 1])
+        assert vs.words == (0, 1, 6)
+        assert vs.vertices == tuple(vs) == (
+            Vertex01(3, 0), Vertex01(3, 1), Vertex01(3, 6),
+        )
+
+    def test_words_out_of_range_rejected(self):
+        for words in ([8], [-1]):
+            with pytest.raises(InvalidVertexError):
+                VertexSet.from_words(CoordLayout.lop(3), words)
+
+
+class TestCustomLabels:
+    LABELS = ("a", "b(1,2)", "c")
+
+    def layout(self):
+        return CoordLayout.dcp(3, self.LABELS)
+
+    def test_header_lists_labels(self):
+        assert self.layout().header() == "layout dcp 3\nlabels a b(1,2) c"
+        assert CoordLayout.from_header(self.layout().header()) == self.layout()
+
+    def test_default_labels_keep_one_line_header(self):
+        assert CoordLayout.dcp(3).header() == "layout dcp 3"
+        assert "labels" not in CoordLayout.dcp(3).to_json_obj()
+
+    def test_vertex_set_round_trips(self):
+        vs = VertexSet.from_words(self.layout(), [0b101, 0b010])
+        assert VertexSet.from_text(vs.to_text()) == vs
+        assert VertexSet.from_json(vs.to_json()) == vs
+        assert vs.to_json_obj()["layout"]["labels"] == list(self.LABELS)
+
+    def test_labels_must_be_single_words(self):
+        for labels in (("a", "b c", "d"), ("a", "", "d"), ("a", "a", "d")):
+            with pytest.raises(InvalidParameterError):
+                CoordLayout.dcp(3, labels)
+
+    def test_bad_labels_in_files(self):
+        with pytest.raises(ParseError):
+            CoordLayout.from_header("layout dcp 3\nlabels a b c\n101")
+        with pytest.raises(ParseError):
+            CoordLayout.from_json_obj({"kind": "dcp", "param": 3, "labels": "abc"})
+        with pytest.raises(InvalidParameterError):
+            VertexSet.from_text("layout dcp 3\nlabels a b\n101\n")
+
 
 class TestPermutation:
     def test_reversal_sequence(self):
@@ -279,6 +326,25 @@ class TestAffineMapQ:
         m = AffineMapQ.linear([[1, 0]])
         with pytest.raises(DimensionMismatchError):
             m.apply((1,))
+
+    def test_apply_word_with_offset(self):
+        m = AffineMapQ(((Fraction(1), Fraction(-1)),), (Fraction(1),))
+        assert m.apply_word(0b00) == 0b1
+        assert m.apply_word(0b01) == 0b0
+        assert m.apply_word(0b10) is None  # image 2
+
+    def test_apply_word_rational_entries(self):
+        m = AffineMapQ.linear([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
+        assert m.apply_word(0b11) == 0b11
+        assert m.apply_word(0b00) == 0b00
+        assert m.apply_word(0b10) is None  # image 1/2
+
+    def test_apply_word_out_of_range(self):
+        m = AffineMapQ.linear([[1, 0]])
+        with pytest.raises(InvalidVertexError):
+            m.apply_word(0b100)
+        with pytest.raises(InvalidVertexError):
+            m.apply_word(-1)
 
 
 class TestVertexFromCoords:
