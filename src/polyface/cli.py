@@ -110,9 +110,11 @@ def cmd_face(args) -> int:
     extraction = extract_face(vs, system)
     report = Report("face", {"set": args.set, "system": args.system})
     for idx, check in enumerate(extraction.checks):
+        # a valid relaxation that no vertex meets with equality is not supporting
         report.check(
             f"supporting[{idx}] {check.form.describe(system.layout)}",
-            True,
+            check.attained,
+            witness=f"valid as {check.direction} but attained by no vertex",
         )
     report.details = {
         "input_size": len(vs),
@@ -124,7 +126,7 @@ def cmd_face(args) -> int:
     _emit_report(report, args)
     if args.face_out:
         _write_vertex_set(extraction.face, args.face_out, args.format_out)
-    return 0
+    return 0 if report.all_passed else 1
 
 
 def cmd_verify(args) -> int:

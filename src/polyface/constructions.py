@@ -1,8 +1,9 @@
 """The three certified embeddings between polytope families.
 
-* ``theorem1_*``: the boolean quadric polytope on n variables as a face of
-  the linear ordering polytope on 2n elements, with an explicit affine
-  bijection and a permutation lift for every quadric vertex.
+* ``theorem1_*``: the boolean quadric polytope on n variables is linearly
+  isomorphic to a face of the linear ordering polytope on 2n elements, with
+  an explicit linear projection and a permutation lift for every quadric
+  vertex.
 * ``lemma1_*``: the stable-set polytope of a graph on n vertices as the
   projection of a face of the linear ordering polytope on 2n elements.
 * ``dcp_*``: the linear ordering polytope on m elements as a face of a
@@ -277,6 +278,15 @@ def theorem1_lift(x: Vertex01) -> Permutation:
     return Permutation(tuple(pos[1:]))
 
 
+def _sequence_or_bits(v: Vertex01, m: int) -> str:
+    """The order a host vertex encodes, or its 0/1 string when it encodes
+    none (a host passed in may hold such words)."""
+    try:
+        return lop_vertex_to_perm(v, m).sequence_str()
+    except InvalidVertexError:
+        return v.to_string()
+
+
 def theorem1_verify(
     n: int, lop: VertexSet | None = None, max_perms: int = DEFAULT_MAX_PERMS
 ) -> Report:
@@ -345,7 +355,7 @@ def theorem1_verify(
         "n": n,
         "lop_size": len(lop),
         "face_size": len(face),
-        "face_sequences": [lop_vertex_to_perm(v, m).sequence_str() for v in face],
+        "face_sequences": [_sequence_or_bits(v, m) for v in face],
         "lifts": [
             {
                 "diagonal": diag,

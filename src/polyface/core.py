@@ -207,7 +207,12 @@ class CoordLayout:
             raise ParseError(f"bad layout object: {obj!r}") from exc
         if labels is not None and not isinstance(labels, list):
             raise ParseError(f"layout labels must be a list: {labels!r}")
-        return cls(kind, param, labels)
+        layout = cls(kind, param, labels)
+        if "dim" in obj and obj["dim"] != layout.dim:
+            raise ParseError(
+                f"layout {kind}({param}) has dim {layout.dim}, not {obj['dim']!r}"
+            )
+        return layout
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,6 +5,16 @@ Bland's anti-cycling rule and explicit artificial variables: slow by design,
 exact by construction.  Every answer is audited by substituting the returned
 point back into the constraints before it leaves this module.
 
+Tableau layout.  Columns come in a fixed order: the structural columns (a
+free variable x split into x+ then x-), one slack per inequality in
+constraint order (+1 for <=, -1 for >=), then one artificial per row.  Each
+row ends with its right-hand side, kept nonnegative by negating the whole
+row.  The cost row holds the reduced costs of the current objective under
+the current basis and ends with minus the objective value; one pricing
+routine builds it for both phases, with cost 1 on the artificials in phase
+one and the real objective in phase two, after the artificials have left
+the basis and their columns are dropped.
+
 Derived predicates:
 
 * ``conv_membership`` - hull membership as pure LP feasibility,
@@ -93,39 +103,41 @@ class LPResult:
     objective_value: Fraction | None = None
 
 
+def _eliminate(row: list, prow: list, j: int) -> list:
+    """``row`` minus the multiple of ``prow`` (whose column ``j`` is 1) that
+    clears its column ``j``."""
+    f = row[j]
+    return [a - f * b for a, b in zip(row, prow)] if f else row
+
+
 class _Tableau:
-    """Dense simplex tableau with Bland's rule over exact rationals."""
+    """Dense simplex tableau with Bland's rule over exact rationals, in the
+    layout described at the top of this module."""
 
-    def __init__(self, rows, rhs, basis):
+    def __init__(self, rows, basis, costs):
         self.rows = rows
-        self.rhs = rhs
         self.basis = basis
-        self.cost = []
-        self.cost_const = 0
+        self.price(costs)
 
-    @property
-    def m(self) -> int:
-        return len(self.rows)
+    def price(self, costs) -> None:
+        """Set the cost row to the reduced costs of ``costs`` (one entry per
+        column) under the current basis."""
+        cost = [*costs, 0]
+        for row, j in zip(self.rows, self.basis):
+            cost = _eliminate(cost, row, j)
+        self.cost = cost
 
     def pivot(self, r: int, j: int) -> None:
         piv = self.rows[r][j]
         if piv != 1:
             inv = Fraction(1) / piv
             self.rows[r] = [c * inv for c in self.rows[r]]
-            self.rhs[r] = self.rhs[r] * inv
         prow = self.rows[r]
-        prhs = self.rhs[r]
-        for i in range(self.m):
-            if i == r:
-                continue
-            f = self.rows[i][j]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], prow)]
-                self.rhs[i] = self.rhs[i] - f * prhs
-        f = self.cost[j]
-        if f:
-            self.cost = [a - f * b for a, b in zip(self.cost, prow)]
-            self.cost_const = self.cost_const - f * prhs
+        self.rows = [
+            prow if i == r else _eliminate(row, prow, j)
+            for i, row in enumerate(self.rows)
+        ]
+        self.cost = _eliminate(self.cost, prow, j)
         self.basis[r] = j
 
     def minimize(self, enterable: int) -> str:
@@ -135,29 +147,21 @@ class _Tableau:
         minimum ratio, ties broken by lowest basic-variable index.
         """
         while True:
-            enter = -1
-            cost = self.cost
-            for j in range(enterable):
-                if cost[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(enterable) if self.cost[j] < 0), -1)
             if enter < 0:
                 return "optimal"
             best_key = None
             best_row = -1
-            for i in range(self.m):
-                a = self.rows[i][enter]
+            for i, row in enumerate(self.rows):
+                a = row[enter]
                 if a > 0:
-                    key = (Fraction(self.rhs[i]) / a, self.basis[i])
+                    key = (Fraction(row[-1]) / a, self.basis[i])
                     if best_key is None or key < best_key:
                         best_key = key
                         best_row = i
             if best_row < 0:
                 return "unbounded"
             self.pivot(best_row, enter)
-
-    def value(self):
-        return -self.cost_const
 
 
 def _audit(problem: LPProblem, point) -> None:
@@ -196,89 +200,52 @@ def lp_feasible(problem: LPProblem) -> LPResult:
     if problem.sense not in ("max", "min"):
         raise InvalidParameterError(f"sense must be 'max' or 'min', got {problem.sense}")
 
-    # Standard form: free variables split into positive and negative parts.
-    if problem.nonnegative:
-        def expand(coeffs):
+    def split(coeffs) -> list:
+        """Standard-form columns: a free variable x becomes x+ - x-."""
+        if problem.nonnegative:
             return list(coeffs)
+        return [v for c in coeffs for v in (c, -c)]
 
-        ncols_real = nvars
-    else:
-        def expand(coeffs):
-            row = []
-            for c in coeffs:
-                row.append(c)
-                row.append(-c)
-            return row
-
-        ncols_real = 2 * nvars
-
-    body = []
-    rhs = []
-    relations = []
-    for con in problem.constraints:
-        row = expand(con.coeffs)
-        b = con.rhs
-        rel = con.relation
-        if b < 0:
-            row = [-c for c in row]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        body.append(row)
-        rhs.append(b)
-        relations.append(rel)
-
-    nslack = sum(1 for rel in relations if rel != "=")
-    width = ncols_real + nslack
+    nslack = sum(con.relation != "=" for con in problem.constraints)
+    rows = []
     k = 0
-    for i, rel in enumerate(relations):
-        pad = [0] * nslack
-        if rel != "=":
-            pad[k] = 1 if rel == "<=" else -1
+    for con in problem.constraints:
+        slack = [0] * nslack
+        if con.relation != "=":
+            slack[k] = 1 if con.relation == "<=" else -1
             k += 1
-        body[i] = body[i] + pad
-
-    nrows = len(body)
-    art = width
-    for i in range(nrows):
-        body[i] = body[i] + [1 if j == i else 0 for j in range(nrows)]
-    basis = [art + i for i in range(nrows)]
-    tab = _Tableau(body, rhs, basis)
-
-    # Phase one: minimize the sum of artificials.
-    tab.cost = [
-        -sum(tab.rows[i][j] for i in range(nrows)) if j < art else 0
-        for j in range(art + nrows)
+        row = split(con.coeffs) + slack + [con.rhs]
+        rows.append([-a for a in row] if con.rhs < 0 else row)
+    width = len(split([0] * nvars)) + nslack
+    nrows = len(rows)
+    rows = [
+        row[:-1] + [int(i == r) for i in range(nrows)] + row[-1:]
+        for r, row in enumerate(rows)
     ]
-    tab.cost_const = -sum(rhs)
-    status = tab.minimize(art)
-    if status != "optimal":  # phase one is bounded below by zero
+    # Phase one: minimize the sum of the artificials.
+    basis = list(range(width, width + nrows))
+    tab = _Tableau(rows, basis, [0] * width + [1] * nrows)
+    if tab.minimize(width) != "optimal":  # phase one is bounded below by zero
         raise PolyfaceError("internal error: unbounded feasibility phase")
-    if tab.value() != 0:
+    if tab.cost[-1] != 0:
         return LPResult("infeasible")
 
-    # Drive artificials out of the basis; drop rows that turn out redundant.
-    drop = []
-    for r in range(tab.m):
-        if tab.basis[r] >= art:
-            enter = next(
-                (j for j in range(art) if tab.rows[r][j] != 0),
-                None,
-            )
+    # Drive the artificials out of the basis; drop the rows left redundant.
+    r = 0
+    while r < len(tab.rows):
+        if tab.basis[r] >= width:
+            enter = next((j for j in range(width) if tab.rows[r][j] != 0), None)
             if enter is None:
-                drop.append(r)
-            else:
-                tab.pivot(r, enter)
-    if drop:
-        keep = [r for r in range(tab.m) if r not in drop]
-        tab.rows = [tab.rows[r] for r in keep]
-        tab.rhs = [tab.rhs[r] for r in keep]
-        tab.basis = [tab.basis[r] for r in keep]
-    tab.rows = [row[:art] for row in tab.rows]
+                del tab.rows[r], tab.basis[r]
+                continue
+            tab.pivot(r, enter)
+        r += 1
+    tab.rows = [row[:width] + row[-1:] for row in tab.rows]
 
     def extract() -> tuple[Fraction, ...]:
         std = [Fraction(0)] * width
-        for r, j in enumerate(tab.basis):
-            std[j] = Fraction(tab.rhs[r])
+        for row, j in zip(tab.rows, tab.basis):
+            std[j] = Fraction(row[-1])
         if problem.nonnegative:
             point = tuple(std[:nvars])
         else:
@@ -291,14 +258,8 @@ def lp_feasible(problem: LPProblem) -> LPResult:
 
     # Phase two on the real objective.
     sign = -1 if problem.sense == "max" else 1
-    c_std = [sign * c for c in expand(problem.objective)] + [0] * nslack
-    tab.cost = [
-        c_std[j] - sum(c_std[tab.basis[i]] * tab.rows[i][j] for i in range(tab.m))
-        for j in range(width)
-    ]
-    tab.cost_const = -sum(c_std[tab.basis[i]] * tab.rhs[i] for i in range(tab.m))
-    status = tab.minimize(width)
-    if status == "unbounded":
+    tab.price([sign * c for c in split(problem.objective)] + [0] * nslack)
+    if tab.minimize(width) == "unbounded":
         return LPResult("unbounded")
     point = extract()
     value = sum(

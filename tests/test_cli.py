@@ -104,6 +104,19 @@ class TestFaceCommand:
         face = VertexSet.from_text(face_out.read_text())
         assert {v.to_string() for v in face} == {"000", "001", "011"}
 
+    def test_unattained_equality_fails(self, capsys, tmp_path, lop3_file):
+        system = tmp_path / "sys.fs"
+        system.write_text("layout lop 3\n1 1 1 = 4\n")
+        code, stdout, _ = run(
+            capsys, "face", "--set", lop3_file, "--system", str(system)
+        )
+        assert code == 1
+        assert (
+            "FAIL supporting[0] y(1,2) + y(1,3) + y(2,3) = 4"
+            "  [witness: valid as <= but attained by no vertex]"
+        ) in stdout
+        assert "face_size: 0" in stdout
+
     def test_not_supporting_fails(self, capsys, tmp_path, lop3_file):
         system = tmp_path / "sys.fs"
         system.write_text("layout lop 3\n2 0 0 = 1\n")

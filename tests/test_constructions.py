@@ -436,6 +436,17 @@ class TestVerifierFailures:
             "face_equals_lift_image": "face and lift image differ as sets",
         }
 
+    def test_theorem1_non_order_word_on_face(self):
+        host = lop_vertices(4)
+        report = theorem1_verify(2, lop=host.restrict_to_words([*host.words, 0b011010]))
+        assert failing(report) == {
+            "face_cardinality": "face has 5 vertices, expected 4",
+            "projection_bijective_onto_bqp": "non-integral image of 011010",
+            "identity_product": "011010 at pair (1,2)",
+            "face_equals_lift_image": "face and lift image differ as sets",
+        }
+        assert "011010" in report.details["face_sequences"]
+
     @pytest.mark.parametrize("word,expected", [
         ("000000", {"lift_lands_on_face": "lift of 00 -> 4321"}),
         ("000001", {}),

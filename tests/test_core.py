@@ -146,6 +146,12 @@ class TestVertexSet:
         vs = VertexSet(layout, [Vertex01.from_string("111")])
         assert VertexSet.from_json(vs.to_json()) == vs
 
+    def test_json_declared_dim_must_match_layout(self):
+        text = '{"layout": {"kind": "lop", "param": 3, "dim": 99}, "vertices": []}'
+        with pytest.raises(ParseError, match="has dim 3, not 99"):
+            VertexSet.from_json(text)
+        assert len(VertexSet.from_json(text.replace("99", "3"))) == 0
+
     def test_bad_vertex_length_in_file(self):
         with pytest.raises(ParseError):
             VertexSet.from_text("layout lop 3\n01\n")
