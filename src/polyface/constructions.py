@@ -40,6 +40,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     InvalidVertexError,
+    NotSupportingError,
     ParseError,
 )
 from .faces import FaceSystem, extract_face, is_valid_inequality
@@ -296,6 +297,8 @@ def theorem1_verify(
     bijection from the face onto the quadric vertex set; the three dependent-
     coordinate identities hold on every face vertex; every quadric vertex
     lifts onto the face and round-trips; the face equals the lift image.
+    A host on which some face equality is not supporting-derived gets a
+    report with the single failing assertion ``face_system_supporting``.
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
@@ -305,7 +308,12 @@ def theorem1_verify(
     elif lop.layout != CoordLayout.lop(m):
         raise DimensionMismatchError(f"expected a vertex set of lop({m})")
     report = Report("theorem1", {"n": n})
-    face = extract_face(lop, theorem1_system(n)).face
+    try:
+        face = extract_face(lop, theorem1_system(n)).face
+    except NotSupportingError as exc:
+        report.check("face_system_supporting", False, witness=str(exc))
+        report.details = {"n": n, "lop_size": len(lop)}
+        return report
     bqp = bqp_vertices(n)
     projection = theorem1_project(n)
 

@@ -581,6 +581,9 @@ class LinearForm:
     _nz: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    #: Packed bits of the nonzero coefficients: the value on a 0/1 word
+    #: depends only on ``word & support_mask``.
+    support_mask: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         if self.relation not in RELATIONS:
@@ -590,6 +593,7 @@ class LinearForm:
             (1 << (dim - 1 - i), c) for i, c in enumerate(self.coeffs) if c != 0
         )
         object.__setattr__(self, "_nz", nz)
+        object.__setattr__(self, "support_mask", sum(mask for mask, _ in nz))
 
     @property
     def dim(self) -> int:

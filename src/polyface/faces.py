@@ -5,6 +5,12 @@ accepted only if at least one of its two relaxations (<= or >=) is a valid
 inequality over the whole vertex set, i.e. the equality is the boundary of a
 half-space containing the polytope.  All arithmetic is exact integer
 arithmetic on packed 0/1 words.
+
+The value of a form on a 0/1 word depends only on ``word & support_mask``,
+so a scan collects the distinct support patterns of the vertex set in one
+pass and evaluates the form once per pattern.  Words are picked out again
+(the first violating vertex, the vertices on a face) by testing their
+patterns against a set of patterns, in the vertex set's sorted order.
 """
 
 from __future__ import annotations
@@ -40,15 +46,22 @@ def three_cycle_forms(m: int) -> list[LinearForm]:
 class InequalityCheck:
     """Outcome of validating one form against a vertex set.
 
-    ``witness`` is a violating vertex when ``valid`` is false.  ``attained``
-    records whether some vertex meets the form with equality (a valid
-    inequality is supporting, not merely slack everywhere); it is meaningful
-    only when ``valid`` is true.
+    ``witness`` is the first violating vertex in sorted order when ``valid``
+    is false.  ``attained`` records whether some vertex meets the form with
+    equality (a valid inequality is supporting, not merely slack
+    everywhere); on an invalid form it covers only the vertices before the
+    witness.
     """
 
     valid: bool
     witness: Vertex01 | None
     attained: bool
+
+
+def _pattern_values(f: LinearForm, words) -> dict[int, int]:
+    """Value of ``f`` on each distinct support pattern ``word & mask``."""
+    mask = f.support_mask
+    return {p: f.evaluate_word(p) for p in {w & mask for w in words}}
 
 
 def is_valid_inequality(f: LinearForm, v: VertexSet) -> InequalityCheck:
@@ -57,20 +70,16 @@ def is_valid_inequality(f: LinearForm, v: VertexSet) -> InequalityCheck:
         raise DimensionMismatchError(
             f"form of dim {f.dim} against vertex set of dim {v.layout.dim}"
         )
-    attained = False
-    rhs = f.rhs
-    relation = f.relation
-    for word in v.words:
-        value = f.evaluate_word(word)
-        if value == rhs:
-            attained = True
-        elif (
-            (relation == "<=" and value > rhs)
-            or (relation == ">=" and value < rhs)
-            or relation == "="
-        ):
-            return InequalityCheck(False, Vertex01(f.dim, word), attained)
-    return InequalityCheck(True, None, attained)
+    words = v.words
+    table = _pattern_values(f, words)
+    at = {p for p, value in table.items() if value == f.rhs}
+    bad = {p for p, value in table.items() if not f.holds(value)}
+    if not bad:
+        return InequalityCheck(True, None, bool(at))
+    mask = f.support_mask
+    index = next(i for i, w in enumerate(words) if w & mask in bad)
+    attained = any(w & mask in at for w in words[:index])
+    return InequalityCheck(False, Vertex01(f.dim, words[index]), attained)
 
 
 @dataclass(frozen=True)
@@ -137,31 +146,32 @@ def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
         raise DimensionMismatchError(
             f"vertex set of dim {v.layout.dim} against system of dim {fs.layout.dim}"
         )
+    words = v.words
     checks = []
+    on_face = []
     for form in fs.equalities:
-        chk_le = is_valid_inequality(form.relaxed("<="), v)
-        if chk_le.valid:
-            checks.append(SupportCheck(form, "<=", chk_le.attained))
-            continue
-        chk_ge = is_valid_inequality(form.relaxed(">="), v)
-        if chk_ge.valid:
-            checks.append(SupportCheck(form, ">=", chk_ge.attained))
-            continue
-        description = form.describe(fs.layout)
-        raise NotSupportingError(
-            f"equality {description} is not supporting-derived: "
-            f"<= violated by {chk_le.witness}, >= violated by {chk_ge.witness}",
-            form=form,
-            witness=chk_ge.witness,
-        )
-    surviving = []
-    equalities = fs.equalities
-    for word in v.words:
-        for form in equalities:
-            if form.evaluate_word(word) != form.rhs:
-                break
+        rhs = form.rhs
+        table = _pattern_values(form, words)
+        values = table.values()
+        attained = rhs in values
+        if max(values, default=rhs) <= rhs:
+            checks.append(SupportCheck(form, "<=", attained))
+        elif min(values) >= rhs:
+            checks.append(SupportCheck(form, ">=", attained))
         else:
-            surviving.append(word)
+            chk_le = is_valid_inequality(form.relaxed("<="), v)
+            chk_ge = is_valid_inequality(form.relaxed(">="), v)
+            description = form.describe(fs.layout)
+            raise NotSupportingError(
+                f"equality {description} is not supporting-derived: "
+                f"<= violated by {chk_le.witness}, >= violated by {chk_ge.witness}",
+                form=form,
+                witness=chk_ge.witness,
+            )
+        on_face.append((form.support_mask, {p for p, value in table.items() if value == rhs}))
+    surviving = words
+    for mask, patterns in on_face:
+        surviving = [w for w in surviving if w & mask in patterns]
     face = v.restrict_to_words(surviving)
     warnings = ()
     if len(v) > 0 and not surviving:

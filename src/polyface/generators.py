@@ -8,17 +8,11 @@ plain keyword arguments with package-wide defaults, not hard-coded limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
+from itertools import accumulate
 from math import factorial
+from operator import or_
 
-from .core import (
-    CoordLayout,
-    VertexSet,
-    lop_pair_bits,
-    lop_word_from_positions,
-    pair_index,
-    pairs,
-)
+from .core import CoordLayout, VertexSet, pair_index, pairs
 from .errors import CapacityError, InvalidParameterError, ParseError
 
 #: Largest number of linear orders enumerated by default (8 elements).
@@ -178,7 +172,19 @@ def bqp_vertices(n: int) -> VertexSet:
 
 
 def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
-    """Characteristic vectors of all m! linear orders on [m]."""
+    """Characteristic vectors of all m! linear orders on [m].
+
+    Built by insertion: the orders of {e, ..., m} are the orders of
+    {e+1, ..., m} with e inserted at every position, for e = m down to 1.
+    Element e then precedes exactly the elements after it, so the new bits
+    are the pair bits (e, j) of that suffix: one OR of a running suffix mask
+    per inserted word.  The insertions run depth first, so only the
+    sequences on the current path are alive; the last level keeps words
+    only.
+
+    >>> [v.to_string() for v in lop_vertices(3)]
+    ['000', '001', '011', '100', '110', '111']
+    """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
     if factorial(m) > max_perms:
@@ -187,21 +193,36 @@ def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
             f"of {max_perms}; raise max_perms to allow it"
         )
     layout = CoordLayout.lop(m)
-    pair_bits = lop_pair_bits(m)
-    words = []
-    positions = [0] * m
-    for seq in iter_permutations(range(1, m + 1)):
-        for pos, element in enumerate(seq, start=1):
-            positions[element - 1] = pos
-        words.append(lop_word_from_positions(positions, pair_bits))
+    dim = layout.dim
+    # pair_bits[e][j] marks coordinate (e, j) for e < j; 0 elsewhere.
+    pair_bits = [
+        [1 << (dim - 1 - pair_index(e, j, m)) if 0 < e < j else 0 for j in range(m + 1)]
+        for e in range(m + 1)
+    ]
+    words: list[int] = []
+    _insert_below((), 0, m, pair_bits, words)
     return VertexSet.from_words(layout, words)
+
+
+def _insert_below(
+    seq: tuple[int, ...], word: int, e: int, pair_bits: list[list[int]], words: list[int]
+) -> None:
+    """Append to ``words`` every order that extends ``seq``, an order of
+    {e+1, ..., m} with packed word ``word``, by inserting e, e-1, ..., 1."""
+    # suffix masks for inserting e at positions len(seq), ..., 0
+    suffixes = accumulate(map(pair_bits[e].__getitem__, reversed(seq)), or_, initial=0)
+    if e == 1:
+        words.extend(map(word.__or__, suffixes))
+        return
+    for p, suffix in zip(range(len(seq), -1, -1), suffixes):
+        _insert_below(seq[:p] + (e,) + seq[p:], word | suffix, e - 1, pair_bits, words)
 
 
 def lop_vertices_oracle(m: int, max_m: int = DEFAULT_ORACLE_MAX_M) -> VertexSet:
     """Brute-force route to the same set: filter {0,1}^C(m,2) by the
     three-cycle inequalities 0 <= y_ij + y_jk - y_ik <= 1.
 
-    Kept independent of the permutation enumerator on purpose; the two routes
+    Kept independent of the insertion enumerator on purpose; the two routes
     are compared in tests.
     """
     if m < 1:

@@ -105,7 +105,7 @@ def test_criterion_3_dependent_coordinate_identities(lop8):
 
 
 def test_criterion_4_order_polytope_definitional_equivalence():
-    """Permutation enumeration equals the three-cycle 0/1 filter, m = 3..5."""
+    """Insertion enumeration equals the three-cycle 0/1 filter, m = 3..5."""
     failures = []
     started = time.time()
     for m in (3, 4, 5):

@@ -447,6 +447,18 @@ class TestVerifierFailures:
         }
         assert "011010" in report.details["face_sequences"]
 
+    def test_theorem1_host_breaking_support_is_reported(self):
+        host = lop_vertices(4)
+        report = theorem1_verify(2, lop=host.restrict_to_words([*host.words, 0b001000]))
+        assert [a.name for a in report.assertions] == ["face_system_supporting"]
+        assert failing(report) == {
+            "face_system_supporting": (
+                "equality y(1,2) - y(1,4) + y(2,4) = 0 is not supporting-derived: "
+                "<= violated by 000011, >= violated by 001000"
+            ),
+        }
+        assert report.details == {"n": 2, "lop_size": 25}
+
     @pytest.mark.parametrize("word,expected", [
         ("000000", {"lift_lands_on_face": "lift of 00 -> 4321"}),
         ("000001", {}),

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,19 @@ from polyface import (
     stable_vertices,
 )
 from polyface.constructions import dcp_embedding
-from polyface.core import pairs
+from polyface.core import CoordLayout, VertexSet, lop_pair_bits, lop_word_from_positions, pairs
+
+
+def lop_vertices_by_permutation(m: int) -> VertexSet:
+    """Reference route: one characteristic word per permutation of [m]."""
+    pair_bits = lop_pair_bits(m)
+    words = []
+    positions = [0] * m
+    for seq in permutations(range(1, m + 1)):
+        for pos, element in enumerate(seq, start=1):
+            positions[element - 1] = pos
+        words.append(lop_word_from_positions(positions, pair_bits))
+    return VertexSet.from_words(CoordLayout.lop(m), words)
 
 
 class TestBqpVertices:
@@ -73,6 +85,13 @@ class TestLopVertices:
 
     def test_count_is_factorial_m8(self, lop8):
         assert len(lop8) == math.factorial(8)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
+    def test_insertion_matches_permutation_route(self, m):
+        assert lop_vertices(m).words == lop_vertices_by_permutation(m).words
+
+    def test_insertion_matches_permutation_route_m8(self, lop8):
+        assert lop8.words == lop_vertices_by_permutation(8).words
 
     def test_budget_enforced(self):
         with pytest.raises(CapacityError):
