@@ -106,16 +106,18 @@ class Report:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Report":
+        _require_object(obj, "the report")
         try:
+            entries = [_require_object(e, "an assertion") for e in obj.get("assertions", [])]
             assertions = [
                 Assertion(entry["name"], bool(entry["pass"]), entry.get("witness"))
-                for entry in obj.get("assertions", [])
+                for entry in entries
             ]
             return cls(
                 construction=obj["construction"],
-                params=dict(obj.get("params", {})),
+                params=dict(_require_object(obj.get("params", {}), "params")),
                 assertions=assertions,
-                details=dict(obj.get("details", {})),
+                details=dict(_require_object(obj.get("details", {}), "details")),
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad report object: {exc}") from exc
@@ -139,6 +141,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _require_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"bad report object: {what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _coeffs(layout: CoordLayout, terms: dict[str, int]) -> tuple[int, ...]:
     """Coefficients over ``layout``: ``terms[label]`` at each listed label, 0 elsewhere."""
     coeffs = [0] * layout.dim
@@ -154,6 +162,16 @@ def _form(layout: CoordLayout, terms: dict, relation: str = "=", rhs: int = 0) -
 def _y(a: int, b: int) -> str:
     """Label of the order coordinate y(a,b)."""
     return f"y({a},{b})"
+
+
+def _lop_host(m: int, lop: VertexSet | None, max_perms: int) -> VertexSet:
+    """The vertex set of the order polytope on [m] to verify on: ``lop`` when
+    it is passed in, else the enumerated one."""
+    if lop is None:
+        return lop_vertices(m, max_perms=max_perms)
+    if lop.layout != CoordLayout.lop(m):
+        raise DimensionMismatchError(f"expected a vertex set of lop({m})")
+    return lop
 
 
 def _check_identities(
@@ -232,7 +250,19 @@ def theorem1_system(n: int) -> FaceSystem:
 
 def theorem1_project(n: int) -> AffineMapQ:
     """Linear map from order coordinates on [2n] to quadric coordinates:
-    x(i,i) = y(2i-1,2i) and x(i,j) = y(2j-1,2j) - y(2i,2j)."""
+    x(i,i) = y(2i-1,2i) and x(i,j) = y(2j-1,2j) - y(2i,2j).
+
+    The reversal maps to the origin and the interleaved order 531642 to
+    the all-ones vertex:
+
+    >>> from polyface import perm_to_lop_vertex, sequence_to_perm
+    >>> proj = theorem1_project(3)
+    >>> for s in ("654321", "531642"):
+    ...     word = perm_to_lop_vertex(sequence_to_perm(s)).word
+    ...     print(s, word_to_string(proj.apply_word(word), 6))
+    654321 000000
+    531642 111111
+    """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     layout = CoordLayout.lop(2 * n)
@@ -303,10 +333,7 @@ def theorem1_verify(
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     m = 2 * n
-    if lop is None:
-        lop = lop_vertices(m, max_perms=max_perms)
-    elif lop.layout != CoordLayout.lop(m):
-        raise DimensionMismatchError(f"expected a vertex set of lop({m})")
+    lop = _lop_host(m, lop, max_perms)
     report = Report("theorem1", {"n": n})
     try:
         face = extract_face(lop, theorem1_system(n)).face
@@ -446,11 +473,7 @@ def lemma1_verify(
     recorded), and the lift of every stable vertex must land on the face.
     """
     n = g.n
-    m = 2 * n
-    if lop is None:
-        lop = lop_vertices(m, max_perms=max_perms)
-    elif lop.layout != CoordLayout.lop(m):
-        raise DimensionMismatchError(f"expected a vertex set of lop({m})")
+    lop = _lop_host(2 * n, lop, max_perms)
     edges = [f"{i} {j}" for i, j in g.sorted_edges()]
     report = Report("lemma1", {"n": n, "edges": edges})
     face = extract_face(lop, lemma1_system(g)).face

@@ -1,4 +1,4 @@
-"""Coordinate layouts, 0/1 vertices, permutations, linear forms, rational affine maps.
+"""Coordinate layouts, 0/1 vertices, permutations, integer linear forms and maps.
 
 Conventions used throughout the package:
 
@@ -15,8 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -295,29 +295,26 @@ def _pack(values: Iterable) -> int | None:
     return word
 
 
-def vertex_from_coords(layout: CoordLayout, coords: Sequence) -> Vertex01:
-    """Interpret exact rational coordinates as a vertex of ``layout``.
-
-    Raises InvalidVertexError unless every coordinate is exactly 0 or 1.
-    """
-    if len(coords) != layout.dim:
-        raise DimensionMismatchError(
-            f"{len(coords)} coordinates for layout of dimension {layout.dim}"
-        )
-    word = _pack(coords)
-    if word is None:
-        raise InvalidVertexError(f"coordinates must be 0 or 1, got {tuple(coords)!r}")
-    return Vertex01(layout.dim, word)
+def _parse_vertices(layout: CoordLayout, strings: Iterable[str]) -> list[Vertex01]:
+    """The vertices written as the 0/1 strings ``strings`` under ``layout``."""
+    verts = [Vertex01.from_string(s) for s in strings]
+    for v in verts:
+        if v.dim != layout.dim:
+            raise ParseError(
+                f"vertex of length {v.dim} under layout of dimension {layout.dim}"
+            )
+    return verts
 
 
 class VertexSet:
     """A deduplicated, lexicographically sorted set of vertices of one layout.
 
-    Only the packed words are stored; ``Vertex01`` objects are built when a
-    caller iterates or reads ``vertices``.
+    Only the sorted packed words are stored, and membership is a binary
+    search; ``Vertex01`` objects are built when a caller iterates or reads
+    ``vertices``.
     """
 
-    __slots__ = ("layout", "_words", "_wordset")
+    __slots__ = ("layout", "_words")
 
     def __init__(self, layout: CoordLayout, vertices: Iterable[Vertex01]):
         words = []
@@ -336,13 +333,11 @@ class VertexSet:
         return vs
 
     def _store(self, layout: CoordLayout, words: Iterable[int]) -> None:
-        wordset = frozenset(words)
-        ordered = tuple(sorted(wordset))
+        ordered = tuple(sorted(set(words)))
         if ordered and not (ordered[0] >= 0 and ordered[-1] < 1 << layout.dim):
             raise InvalidVertexError("packed word out of range for layout dimension")
         self.layout = layout
         self._words = ordered
-        self._wordset = wordset
 
     @property
     def words(self) -> tuple[int, ...]:
@@ -360,7 +355,8 @@ class VertexSet:
         return (Vertex01(dim, w) for w in self._words)
 
     def __contains__(self, v: Vertex01) -> bool:
-        return v.dim == self.layout.dim and v.word in self._wordset
+        k = bisect_left(self._words, v.word)
+        return v.dim == self.layout.dim and self._words[k:k + 1] == (v.word,)
 
     def __eq__(self, other) -> bool:
         return (
@@ -392,13 +388,7 @@ class VertexSet:
         layout, body = CoordLayout.split_header(lines)
         if layout.dim > 0:
             body = [ln.strip() for ln in body if ln.strip()]
-        verts = [Vertex01.from_string(ln) for ln in body]
-        for v in verts:
-            if v.dim != layout.dim:
-                raise ParseError(
-                    f"vertex of length {v.dim} under layout of dimension {layout.dim}"
-                )
-        return cls(layout, verts)
+        return cls(layout, _parse_vertices(layout, body))
 
     def to_json_obj(self) -> dict:
         return {
@@ -410,10 +400,12 @@ class VertexSet:
     def from_json_obj(cls, obj: dict) -> "VertexSet":
         try:
             layout = CoordLayout.from_json_obj(obj["layout"])
-            verts = [Vertex01.from_string(s) for s in obj["vertices"]]
+            strings = obj["vertices"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad vertex-set object: {exc}") from exc
-        return cls(layout, verts)
+        if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+            raise ParseError(f"vertices must be a list of strings: {strings!r}")
+        return cls(layout, _parse_vertices(layout, strings))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
@@ -468,10 +460,6 @@ class Permutation:
     def identity(cls, m: int) -> "Permutation":
         return cls(tuple(range(1, m + 1)))
 
-    @classmethod
-    def from_positions(cls, positions: Sequence[int]) -> "Permutation":
-        return cls(tuple(positions))
-
 
 def sequence_to_perm(s: str | Sequence[int]) -> Permutation:
     """Parse sequence notation (elements listed by position) into a Permutation.
@@ -500,11 +488,6 @@ def sequence_to_perm(s: str | Sequence[int]) -> Permutation:
     for position, element in enumerate(elements, start=1):
         pi[element - 1] = position
     return Permutation(tuple(pi))
-
-
-def perm_to_sequence(p: Permutation) -> str:
-    """Render a permutation in sequence notation."""
-    return p.sequence_str()
 
 
 def lop_pair_bits(m: int) -> tuple[tuple[int, int, int], ...]:
@@ -629,9 +612,6 @@ class LinearForm:
             return value >= self.rhs
         return value == self.rhs
 
-    def satisfied_by_word(self, word: int) -> bool:
-        return self.holds(self.evaluate_word(word))
-
     def satisfied_by(self, v: Vertex01) -> bool:
         return self.holds(self.evaluate(v))
 
@@ -678,58 +658,34 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class AffineMapQ:
-    """Exact rational affine map: coords -> matrix @ coords + offset.
+    """Integer linear map between coordinate spaces: one ``LinearForm`` per
+    target coordinate, whose coefficients are that coordinate's row.
 
-    ``apply`` works on arbitrary exact coordinates and is the reference;
+    ``apply`` evaluates the rows on arbitrary exact coordinates;
     ``apply_word`` maps packed 0/1 words to packed 0/1 words.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    offset: tuple[Fraction, ...]
-    _rows: tuple = field(init=False, repr=False, compare=False, default=())
+    rows: tuple[LinearForm, ...]
 
     def __post_init__(self):
-        if len(self.offset) != len(self.matrix):
-            raise DimensionMismatchError(
-                f"offset of dim {len(self.offset)} for {len(self.matrix)} rows"
-            )
-        widths = {len(row) for row in self.matrix}
-        if len(widths) > 1:
-            raise DimensionMismatchError("matrix rows of unequal length")
-        # (row as a form, offset) for apply_word; integral entries become ints
-        # so that integer maps evaluate without Fraction arithmetic.
-        rows = tuple(
-            (LinearForm(tuple(_exact(c) for c in row), "=", 0), _exact(off))
-            for row, off in zip(self.matrix, self.offset)
-        )
-        object.__setattr__(self, "_rows", rows)
+        if len({row.dim for row in self.rows}) > 1:
+            raise DimensionMismatchError("rows of unequal length")
 
     @classmethod
-    def linear(cls, rows: Sequence[Sequence]) -> "AffineMapQ":
-        matrix = tuple(tuple(Fraction(c) for c in row) for row in rows)
-        offset = tuple(Fraction(0) for _ in matrix)
-        return cls(matrix, offset)
+    def linear(cls, rows: Sequence[Sequence[int]]) -> "AffineMapQ":
+        return cls(tuple(LinearForm(tuple(row), "=", 0) for row in rows))
 
     @property
     def target_dim(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     @property
     def source_dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
+        return self.rows[0].dim if self.rows else 0
 
-    def apply(self, coords: Sequence) -> tuple[Fraction, ...]:
-        if self.matrix and len(coords) != self.source_dim:
-            raise DimensionMismatchError(
-                f"map of source dim {self.source_dim} applied to {len(coords)} coords"
-            )
-        return tuple(
-            sum((c * x for c, x in zip(row, coords)), start=off)
-            for row, off in zip(self.matrix, self.offset)
-        )
-
-    def apply_vertex(self, v: Vertex01) -> tuple[Fraction, ...]:
-        return self.apply(v.bits)
+    # perfbench/tracing.py wraps this method through the class __dict__
+    def apply(self, coords: Sequence) -> tuple:
+        return tuple(row.evaluate_coords(coords) for row in self.rows)
 
     def apply_word(self, word: int) -> int | None:
         """Packed image of the packed 0/1 source point ``word``, or None when
@@ -738,8 +694,4 @@ class AffineMapQ:
             raise InvalidVertexError(
                 f"packed word {word} out of range for source dimension {self.source_dim}"
             )
-        return _pack(form.evaluate_word(word) + offset for form, offset in self._rows)
-
-def _exact(q):
-    """An int for an integral rational, the rational itself otherwise."""
-    return q.numerator if q.denominator == 1 else q
+        return _pack(row.evaluate_word(word) for row in self.rows)

@@ -32,15 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import LinearForm, Vertex01, VertexSet
+from .core import RELATIONS, LinearForm, Vertex01, VertexSet
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     InvalidVertexError,
     PolyfaceError,
 )
-
-RELATIONS = ("<=", ">=", "=")
 
 
 @dataclass(frozen=True)

@@ -297,3 +297,19 @@ class TestReportCommand:
         )
         assert code == 1
         assert "error" in stderr
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        {"construction": "demo", "params": "ab"},
+        {"construction": "demo", "details": "x"},
+        {"construction": "demo", "assertions": ["broken"]},
+        {"construction": "demo", "assertions": [{"pass": False}]},
+    ])
+    def test_malformed_report_is_an_error(self, capsys, tmp_path, obj):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(obj))
+        code, stdout, stderr = run(capsys, "report", "--in", str(report_path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: bad report object")
+        assert "Traceback" not in stderr

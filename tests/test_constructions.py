@@ -90,17 +90,17 @@ class TestTheorem1System:
 class TestTheorem1Project:
     def test_n1_identity(self):
         proj = theorem1_project(1)
-        assert proj.matrix == ((Fraction(1),),)
+        assert [row.coeffs for row in proj.rows] == [(1,)]
 
     def test_reversal_maps_to_origin(self):
         proj = theorem1_project(3)
         v = perm_to_lop_vertex(sequence_to_perm("654321"))
-        assert proj.apply_vertex(v) == (0,) * 6
+        assert proj.apply(v.bits) == (0,) * 6
 
     def test_interleaved_sequence_maps_to_all_ones(self):
         proj = theorem1_project(3)
         v = perm_to_lop_vertex(sequence_to_perm("531642"))
-        assert proj.apply_vertex(v) == (1,) * 6
+        assert proj.apply(v.bits) == (1,) * 6
 
 
 class TestTheorem1Lift:
@@ -180,7 +180,7 @@ class TestTheorem1Verify:
         proj = theorem1_project(n)
         for x in bqp_vertices(n):
             y = perm_to_lop_vertex(theorem1_lift(x))
-            assert tuple(int(c) for c in proj.apply_vertex(y)) == x.bits
+            assert proj.apply(y.bits) == x.bits
 
     def test_cap_exceeded(self):
         with pytest.raises(CapacityError):
@@ -213,14 +213,14 @@ class TestLemma1Project:
         dim = 6
         expected = []
         for i in (1, 2):
-            row = [Fraction(0)] * dim
-            row[pair_index(i, 2 + i, 4)] = Fraction(1)
+            row = [0] * dim
+            row[pair_index(i, 2 + i, 4)] = 1
             expected.append(tuple(row))
-        assert proj.matrix == tuple(expected)
+        assert [row.coeffs for row in proj.rows] == expected
 
     def test_n1_selects_single_pair(self):
         proj = lemma1_project(1)
-        assert proj.matrix == ((Fraction(1),),)
+        assert [row.coeffs for row in proj.rows] == [(1,)]
 
 
 class TestLemma1Lift:
@@ -376,17 +376,47 @@ class TestReport:
         assert "result: PASS" in text
 
 
+def _unit_row(a: int, b: int, m: int) -> list[Fraction]:
+    """The row over lop(m) coordinates that reads y(a,b)."""
+    row = [Fraction(0)] * (m * (m - 1) // 2)
+    row[pair_index(a, b, m)] = Fraction(1)
+    return row
+
+
+def theorem1_matrix(n: int) -> list[list[Fraction]]:
+    """x(i,i) = y(2i-1,2i) and x(i,j) = y(2j-1,2j) - y(2i,2j), over Fraction."""
+    m = 2 * n
+    rows = [_unit_row(2 * i - 1, 2 * i, m) for i in range(1, n + 1)]
+    for i, j in pairs(n):
+        plus, minus = _unit_row(2 * j - 1, 2 * j, m), _unit_row(2 * i, 2 * j, m)
+        rows.append([p - q for p, q in zip(plus, minus)])
+    return rows
+
+
+def lemma1_matrix(n: int) -> list[list[Fraction]]:
+    """x(i) = y(i,n+i), over Fraction."""
+    return [_unit_row(i, n + i, 2 * n) for i in range(1, n + 1)]
+
+
 class TestApplyWord:
+    """The integer projections against Fraction matrices built from the
+    documented formulas."""
+
+    ORACLE = {theorem1_project: theorem1_matrix, lemma1_project: lemma1_matrix}
+
     @pytest.mark.parametrize("project", [theorem1_project, lemma1_project])
-    def test_agrees_with_apply_vertex_on_lop6(self, lop6, project):
-        proj = project(3)
+    def test_agrees_with_fraction_oracle_on_lop6(self, lop6, project):
+        proj, matrix = project(3), self.ORACLE[project](3)
         off_cube = 0
         for v in lop6:
-            coords = proj.apply_vertex(v)
+            coords = tuple(sum((c * b for c, b in zip(row, v.bits)), Fraction(0)) for row in matrix)
+            assert proj.apply(v.bits) == coords
             if all(c in (0, 1) for c in coords):
-                assert proj.apply_word(v.word) == Vertex01.from_bits(coords).word
+                word = int("".join(str(c) for c in coords), 2)
+                assert proj.apply_word(v.word) == word
             else:
                 off_cube += 1
+                assert -1 in coords and set(coords) <= {-1, 0, 1}
                 assert proj.apply_word(v.word) is None
         # x(i,j) = y(2j-1,2j) - y(2i,2j) reaches -1 off the face; a coordinate
         # projection never leaves the cube

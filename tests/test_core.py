@@ -20,9 +20,7 @@ from polyface import (
     lop_vertex_to_perm,
     pair_index,
     perm_to_lop_vertex,
-    perm_to_sequence,
     sequence_to_perm,
-    vertex_from_coords,
 )
 
 
@@ -129,6 +127,7 @@ class TestVertexSet:
         assert len(vs) == 3
         assert Vertex01.from_string("110") in vs
         assert Vertex01.from_string("111") not in vs
+        assert Vertex01.from_string("00") not in vs
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -155,6 +154,16 @@ class TestVertexSet:
     def test_bad_vertex_length_in_file(self):
         with pytest.raises(ParseError):
             VertexSet.from_text("layout lop 3\n01\n")
+
+    def test_bad_vertex_length_in_json(self):
+        with pytest.raises(ParseError, match="vertex of length 2"):
+            VertexSet.from_json('{"layout": {"kind": "lop", "param": 3}, "vertices": ["01"]}')
+
+    @pytest.mark.parametrize("vertices", ['"0101"', '[1, 0]', '{"0": 1}', "null"])
+    def test_json_vertices_must_be_a_list_of_strings(self, vertices):
+        text = '{"layout": {"kind": "stable", "param": 1}, "vertices": %s}' % vertices
+        with pytest.raises(ParseError, match="vertices must be a list of strings"):
+            VertexSet.from_json(text)
 
     def test_vertices_built_from_words(self):
         vs = VertexSet.from_words(CoordLayout.lop(3), [6, 0, 6, 1])
@@ -217,7 +226,7 @@ class TestPermutation:
 
     def test_sequence_round_trip_examples(self):
         for s in ("654321", "123", "4132", "165432"):
-            assert perm_to_sequence(sequence_to_perm(s)) == s
+            assert sequence_to_perm(s).sequence_str() == s
 
     @given(st.permutations(list(range(1, 8))))
     def test_sequence_round_trip(self, seq):
@@ -317,33 +326,27 @@ class TestLinearForm:
 
 
 class TestAffineMapQ:
-    def test_apply_with_offset(self):
-        m = AffineMapQ(
-            ((Fraction(1), Fraction(1)),),
-            (Fraction(-1),),
-        )
-        assert m.apply((Fraction(1), Fraction(2))) == (Fraction(2),)
+    def test_apply_exact_coords(self):
+        m = AffineMapQ.linear([[1, 1], [2, -1]])
+        assert m.apply((Fraction(1, 2), Fraction(2))) == (Fraction(5, 2), Fraction(-1))
 
     def test_linear_zero_offset(self):
         m = AffineMapQ.linear([[1, 0], [0, 1]])
-        assert m.apply_vertex(Vertex01.from_string("10")) == (1, 0)
+        assert m.apply(Vertex01.from_string("10").bits) == (1, 0)
 
     def test_dimension_mismatch(self):
         m = AffineMapQ.linear([[1, 0]])
         with pytest.raises(DimensionMismatchError):
             m.apply((1,))
+        with pytest.raises(DimensionMismatchError):
+            AffineMapQ.linear([[1, 0], [1]])
 
-    def test_apply_word_with_offset(self):
-        m = AffineMapQ(((Fraction(1), Fraction(-1)),), (Fraction(1),))
-        assert m.apply_word(0b00) == 0b1
-        assert m.apply_word(0b01) == 0b0
-        assert m.apply_word(0b10) is None  # image 2
-
-    def test_apply_word_rational_entries(self):
-        m = AffineMapQ.linear([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
-        assert m.apply_word(0b11) == 0b11
+    def test_apply_word_off_cube(self):
+        m = AffineMapQ.linear([[1, -1], [1, 1]])
+        assert m.apply_word(0b10) == 0b11
         assert m.apply_word(0b00) == 0b00
-        assert m.apply_word(0b10) is None  # image 1/2
+        assert m.apply_word(0b01) is None  # image -1
+        assert m.apply_word(0b11) is None  # image 2
 
     def test_apply_word_out_of_range(self):
         m = AffineMapQ.linear([[1, 0]])
@@ -354,11 +357,12 @@ class TestAffineMapQ:
 
 
 class TestVertexFromCoords:
+    """``Vertex01.from_bits`` decodes exact coordinates that are 0 or 1."""
+
     def test_integral_coords(self):
-        layout = CoordLayout.stable(3)
-        v = vertex_from_coords(layout, (Fraction(1), Fraction(0), Fraction(1)))
+        v = Vertex01.from_bits((Fraction(1), Fraction(0), Fraction(1)))
         assert v.to_string() == "101"
 
     def test_fractional_coords_rejected(self):
         with pytest.raises(InvalidVertexError):
-            vertex_from_coords(CoordLayout.stable(1), (Fraction(1, 2),))
+            Vertex01.from_bits((Fraction(1, 2),))
