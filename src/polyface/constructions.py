@@ -109,10 +109,12 @@ class Report:
         _require_object(obj, "the report")
         try:
             entries = [_require_object(e, "an assertion") for e in obj.get("assertions", [])]
-            assertions = [
-                Assertion(entry["name"], bool(entry["pass"]), entry.get("witness"))
-                for entry in entries
-            ]
+            assertions = []
+            for entry in entries:
+                if not isinstance(entry["pass"], bool):
+                    raise ParseError(f"bad report object: 'pass' must be true or false, "
+                                     f"got {entry['pass']!r}")
+                assertions.append(Assertion(entry["name"], entry["pass"], entry.get("witness")))
             return cls(
                 construction=obj["construction"],
                 params=dict(_require_object(obj.get("params", {}), "params")),

@@ -676,10 +676,6 @@ class AffineMapQ:
         return cls(tuple(LinearForm(tuple(row), "=", 0) for row in rows))
 
     @property
-    def target_dim(self) -> int:
-        return len(self.rows)
-
-    @property
     def source_dim(self) -> int:
         return self.rows[0].dim if self.rows else 0
 

@@ -60,9 +60,6 @@ class Graph:
     def complete(cls, n: int) -> "Graph":
         return cls.from_edges(n, pairs(n))
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
@@ -278,9 +275,16 @@ def dcp_vertices(
 ) -> VertexSet:
     """All 0/1 vectors whose sum over every row's four columns is exactly 2.
 
-    Backtracks over columns in ascending order with unit propagation: a row
-    holding two ones forces its unassigned columns to 0, a row holding two
-    zeros forces them to 1.  An empty result is a valid answer.
+    A partial assignment is two packed words, ``one`` and ``zero``: the
+    columns fixed to 1 and the columns fixed to 0 (column c is bit n - c).
+    Fixing columns revisits only the rows that touch them: a row holding two
+    ones forces its free columns to 0, a row holding two zeros forces them to
+    1, and three of either kills the branch.  The search branches on the
+    lowest-numbered free column, 0 before 1, and hands new words down, so
+    nothing is undone.  An empty result is a valid answer.
+
+    >>> [v.to_string() for v in dcp_vertices(FourOnesMatrix.from_rows(4, [(1, 2, 3, 4)]))]
+    ['0011', '0101', '0110', '1001', '1010', '1100']
     """
     n = b.n
     if n > max_cols:
@@ -291,69 +295,46 @@ def dcp_vertices(
         raise InvalidParameterError(
             f"layout of dimension {layout.dim} for a {n}-column matrix"
         )
-    row_cols = [tuple(c - 1 for c in row) for row in b.rows]
-    rows_of: list[list[int]] = [[] for _ in range(n)]
-    for ri, cols in enumerate(row_cols):
-        for c in cols:
-            rows_of[c].append(ri)
-    assign = [-1] * n
-    ones = [0] * len(row_cols)
-    zeros = [0] * len(row_cols)
+    # rows_at[n - c + 1]: masks of the rows holding column c, whose bit has that length
+    rows_at: list[list[int]] = [[] for _ in range(n + 1)]
+    for row in b.rows:
+        mask = sum(1 << (n - c) for c in row)
+        for c in row:
+            rows_at[n - c + 1].append(mask)
+
+    def settle(one: int, zero: int, new: int) -> tuple[int, int] | None:
+        """Propagate from the newly fixed columns ``new``; None if a row breaks."""
+        while new:
+            low = new & -new
+            new ^= low
+            for mask in rows_at[low.bit_length()]:
+                ones = (one & mask).bit_count()
+                zeros = (zero & mask).bit_count()
+                if ones > 2 or zeros > 2:
+                    return None
+                free = mask & ~(one | zero)
+                if ones == 2:
+                    zero |= free
+                    new |= free
+                elif zeros == 2:
+                    one |= free
+                    new |= free
+        return one, zero
+
+    full = (1 << n) - 1
     words: list[int] = []
-
-    def place(col: int, val: int, trail: list[int]) -> bool:
-        stack = [(col, val)]
-        while stack:
-            c, v = stack.pop()
-            cur = assign[c]
-            if cur != -1:
-                if cur != v:
-                    return False
-                continue
-            assign[c] = v
-            trail.append(c)
-            for ri in rows_of[c]:
-                if v:
-                    ones[ri] += 1
-                else:
-                    zeros[ri] += 1
-            for ri in rows_of[c]:
-                if ones[ri] > 2 or zeros[ri] > 2:
-                    return False
-                if ones[ri] == 2 or zeros[ri] == 2:
-                    forced = 0 if ones[ri] == 2 else 1
-                    for cc in row_cols[ri]:
-                        if assign[cc] == -1:
-                            stack.append((cc, forced))
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for c in reversed(trail):
-            v = assign[c]
-            assign[c] = -1
-            for ri in rows_of[c]:
-                if v:
-                    ones[ri] -= 1
-                else:
-                    zeros[ri] -= 1
-
-    def search(start: int) -> None:
-        c = start
-        while c < n and assign[c] != -1:
-            c += 1
-        if c == n:
-            word = 0
-            for v in assign:
-                word = (word << 1) | v
-            words.append(word)
-            return
-        for val in (0, 1):
-            trail: list[int] = []
-            if place(c, val, trail):
-                search(c + 1)
-            undo(trail)
-
-    search(0)
+    stack = [(0, 0)]
+    while stack:
+        one, zero = stack.pop()
+        free = full & ~(one | zero)
+        if not free:
+            words.append(one)
+            continue
+        col = 1 << (free.bit_length() - 1)
+        # the 1 branch is pushed first so that the 0 branch is searched first
+        for branch in (settle(one | col, zero, col), settle(one, zero | col, col)):
+            if branch is not None:
+                stack.append(branch)
     return VertexSet.from_words(layout, words)
 
 

@@ -126,6 +126,18 @@ class TestFaceCommand:
         assert code == 1
         assert "not supporting" in stderr.replace("-", " ")
 
+    def test_non_utf8_vertex_set_is_an_error(self, capsys, tmp_path):
+        vs_path = tmp_path / "bad.vs"
+        vs_path.write_bytes(lop_vertices(3).to_text().encode() + b"\xff\n")
+        system = tmp_path / "sys.fs"
+        system.write_text("layout lop 3\n1 0 0 = 0\n")
+        code, stdout, stderr = run(
+            capsys, "face", "--set", str(vs_path), "--system", str(system)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+
 
 class TestVerify:
     def test_theorem1_passes(self, capsys):
@@ -304,6 +316,7 @@ class TestReportCommand:
         {"construction": "demo", "details": "x"},
         {"construction": "demo", "assertions": ["broken"]},
         {"construction": "demo", "assertions": [{"pass": False}]},
+        {"construction": "demo", "assertions": [{"name": "x", "pass": "false"}]},
     ])
     def test_malformed_report_is_an_error(self, capsys, tmp_path, obj):
         report_path = tmp_path / "report.json"
@@ -313,3 +326,11 @@ class TestReportCommand:
         assert stdout == ""
         assert stderr.startswith("error: bad report object")
         assert "Traceback" not in stderr
+
+    def test_non_utf8_report_is_an_error(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        report_path.write_bytes(b"\xff\xfe{")
+        code, stdout, stderr = run(capsys, "report", "--in", str(report_path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ")

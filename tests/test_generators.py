@@ -19,7 +19,15 @@ from polyface import (
     stable_vertices,
 )
 from polyface.constructions import dcp_embedding
-from polyface.core import CoordLayout, VertexSet, lop_pair_bits, lop_word_from_positions, pairs
+from polyface.core import (
+    CoordLayout,
+    Vertex01,
+    VertexSet,
+    lop_pair_bits,
+    lop_word_from_positions,
+    pairs,
+)
+from polyface.generators import DEFAULT_MAX_NAIVE_DCP_COLS
 
 
 def lop_vertices_by_permutation(m: int) -> VertexSet:
@@ -218,11 +226,34 @@ class TestDcpVertices:
             b = dcp_embedding(m).matrix
             assert dcp_vertices(b) == dcp_vertices_naive(b)
 
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_embedding_beyond_naive_cap_is_structural(self, m):
+        # every order y gives two vertices, (z, h) = (0, 1) and (1, 0), each
+        # with yb = 1 - y and t(i,j,k) = 1 - (y_ij + y_jk - y_ik)
+        emb = dcp_embedding(m)
+        assert emb.layout.dim > DEFAULT_MAX_NAIVE_DCP_COLS
+        expected = set()
+        for order in lop_vertices(m):
+            y = dict(zip(pairs(m), order.bits))
+            values = {f"yb({i},{j})": 1 - y[i, j] for i, j in pairs(m)}
+            values.update((f"y({i},{j})", y[i, j]) for i, j in pairs(m))
+            values.update(
+                (f"t({i},{j},{k})", 1 - (y[i, j] + y[j, k] - y[i, k]))
+                for i, j, k in combinations(range(1, m + 1), 3)
+            )
+            for z, h in ((0, 1), (1, 0)):
+                values.update(z=z, h=h)
+                coords = [values[label] for label in emb.layout.labels]
+                expected.add(Vertex01.from_bits(coords).word)
+        got = dcp_vertices(emb.matrix, max_cols=emb.layout.dim)
+        assert set(got.words) == expected
+        assert len(expected) == 2 * math.factorial(m)
+
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_matches_naive_on_random_matrices(self, data):
         n = data.draw(st.integers(4, 12))
-        k = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(0, 6))
         rows = [
             tuple(sorted(data.draw(
                 st.sets(st.integers(1, n), min_size=4, max_size=4)
