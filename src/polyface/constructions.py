@@ -111,10 +111,16 @@ class Report:
             entries = [_require_object(e, "an assertion") for e in obj.get("assertions", [])]
             assertions = []
             for entry in entries:
-                if not isinstance(entry["pass"], bool):
+                name, passed, witness = entry["name"], entry["pass"], entry.get("witness")
+                if not isinstance(name, str):
+                    raise ParseError(f"bad report object: 'name' must be a string, got {name!r}")
+                if not isinstance(passed, bool):
                     raise ParseError(f"bad report object: 'pass' must be true or false, "
-                                     f"got {entry['pass']!r}")
-                assertions.append(Assertion(entry["name"], entry["pass"], entry.get("witness")))
+                                     f"got {passed!r}")
+                if "witness" in entry and (passed or not isinstance(witness, str)):
+                    raise ParseError("bad report object: 'witness' must be a string on a "
+                                     f"failing assertion, got {witness!r}")
+                assertions.append(Assertion(name, passed, witness))
             return cls(
                 construction=obj["construction"],
                 params=dict(_require_object(obj.get("params", {}), "params")),

@@ -5,24 +5,26 @@ Bland's anti-cycling rule and explicit artificial variables: slow by design,
 exact by construction.  Every answer is audited by substituting the returned
 point back into the constraints before it leaves this module.
 
-Tableau layout.  Columns come in a fixed order: the structural columns (a
-free variable x split into x+ then x-), one slack per inequality in
-constraint order (+1 for <=, -1 for >=), then one artificial per row.  Each
-row ends with its right-hand side, kept nonnegative by negating the whole
-row.  The cost row holds the reduced costs of the current objective under
-the current basis and ends with minus the objective value; one pricing
-routine builds it for both phases, with cost 1 on the artificials in phase
-one and the real objective in phase two, after the artificials have left
-the basis and their columns are dropped.
+Tableau layout.  Columns come in a fixed order: the structural columns, one
+slack per inequality in constraint order (+1 for <=, -1 for >=), then one
+artificial per row.  Each row ends with its right-hand side, kept
+nonnegative by negating the whole row.  The cost row holds the reduced costs
+of the current objective under the current basis and ends with minus the
+objective value; one pricing routine builds it for both phases, with cost 1
+on the artificials in phase one and the negated objective in phase two.
+The artificials leave the basis after phase one and never re-enter, but
+their columns stay: at a phase-two optimum the reduced cost of row r's
+artificial is row r's dual u_r (negated if the row was negated), with
+``u.rhs == objective value``, ``A^T u >= c``, and u_r >= 0 (<=) or <= 0 (>=).
 
-Derived predicates:
+Every predicate solves one hull LP: a column per host vertex, a row per
+coordinate and a convexity row.
 
 * ``conv_membership`` - hull membership as pure LP feasibility,
 * ``adjacent``        - two vertices are adjacent iff their midpoint escapes
                         the hull of the remaining vertices,
-* ``is_face_subset``  - a vertex subset is a face iff a hyperplane holds it
-                        with equality and clears everything else by a unit
-                        gap (lossless for rational data after scaling),
+* ``is_face_subset``  - a vertex subset is a face iff no convex combination
+                        equal to its barycenter puts weight outside it,
 * ``clique_check``    - pairwise adjacency of a vertex list.
 """
 
@@ -56,10 +58,6 @@ class RationalPoint:
         return cls(tuple(Fraction(v) for v in values))
 
     @classmethod
-    def from_vertex(cls, v: Vertex01) -> "RationalPoint":
-        return cls(tuple(Fraction(b) for b in v.bits))
-
-    @classmethod
     def midpoint(cls, u: Vertex01, v: Vertex01) -> "RationalPoint":
         if u.dim != v.dim:
             raise DimensionMismatchError(f"midpoint of dims {u.dim} and {v.dim}")
@@ -81,17 +79,15 @@ class LPConstraint:
 
 @dataclass(frozen=True)
 class LPProblem:
-    """A linear program over exact rationals.
+    """A linear program over exact rationals in nonnegative variables.
 
-    Variables are free unless ``nonnegative`` is set.  ``objective`` is
-    optional; without it only feasibility is decided.
+    ``objective`` is optional and always maximised; without it only
+    feasibility is decided.
     """
 
     variables: int
     constraints: tuple[LPConstraint, ...]
     objective: tuple | None = None
-    sense: str = "max"
-    nonnegative: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,7 @@ class LPResult:
     status: str  # "feasible" | "optimal" | "infeasible" | "unbounded"
     point: tuple[Fraction, ...] | None = None
     objective_value: Fraction | None = None
+    duals: tuple[Fraction, ...] | None = None  # one per constraint, if optimal
 
 
 def _eliminate(row: list, prow: list, j: int) -> list:
@@ -174,7 +171,7 @@ def _audit(problem: LPProblem, point) -> None:
             raise PolyfaceError(
                 f"simplex returned a point violating {con.relation} constraint"
             )
-    if problem.nonnegative and any(x < 0 for x in point):
+    if any(x < 0 for x in point):
         raise PolyfaceError("simplex returned a negative coordinate")
 
 
@@ -182,8 +179,8 @@ def lp_feasible(problem: LPProblem) -> LPResult:
     """Solve the program exactly.
 
     Without an objective, stops after phase one and reports feasibility with
-    an exact witness point.  With an objective, continues to optimality and
-    reports unboundedness distinctly.
+    an exact witness point.  With an objective, continues to optimality,
+    reporting the duals with the optimum and unboundedness distinctly.
     """
     nvars = problem.variables
     if nvars < 0:
@@ -195,14 +192,6 @@ def lp_feasible(problem: LPProblem) -> LPResult:
             )
     if problem.objective is not None and len(problem.objective) != nvars:
         raise DimensionMismatchError("objective width does not match variable count")
-    if problem.sense not in ("max", "min"):
-        raise InvalidParameterError(f"sense must be 'max' or 'min', got {problem.sense}")
-
-    def split(coeffs) -> list:
-        """Standard-form columns: a free variable x becomes x+ - x-."""
-        if problem.nonnegative:
-            return list(coeffs)
-        return [v for c in coeffs for v in (c, -c)]
 
     nslack = sum(con.relation != "=" for con in problem.constraints)
     rows = []
@@ -212,9 +201,9 @@ def lp_feasible(problem: LPProblem) -> LPResult:
         if con.relation != "=":
             slack[k] = 1 if con.relation == "<=" else -1
             k += 1
-        row = split(con.coeffs) + slack + [con.rhs]
+        row = list(con.coeffs) + slack + [con.rhs]
         rows.append([-a for a in row] if con.rhs < 0 else row)
-    width = len(split([0] * nvars)) + nslack
+    width = nvars + nslack
     nrows = len(rows)
     rows = [
         row[:-1] + [int(i == r) for i in range(nrows)] + row[-1:]
@@ -238,53 +227,51 @@ def lp_feasible(problem: LPProblem) -> LPResult:
                 continue
             tab.pivot(r, enter)
         r += 1
-    tab.rows = [row[:width] + row[-1:] for row in tab.rows]
 
     def extract() -> tuple[Fraction, ...]:
-        std = [Fraction(0)] * width
+        point = [Fraction(0)] * width
         for row, j in zip(tab.rows, tab.basis):
-            std[j] = Fraction(row[-1])
-        if problem.nonnegative:
-            point = tuple(std[:nvars])
-        else:
-            point = tuple(std[2 * i] - std[2 * i + 1] for i in range(nvars))
+            point[j] = Fraction(row[-1])
+        point = tuple(point[:nvars])
         _audit(problem, point)
         return point
 
     if problem.objective is None:
         return LPResult("feasible", extract())
 
-    # Phase two on the real objective.
-    sign = -1 if problem.sense == "max" else 1
-    tab.price([sign * c for c in split(problem.objective)] + [0] * nslack)
+    # Phase two on the real objective; the artificials never re-enter.
+    tab.price([-c for c in problem.objective] + [0] * (nslack + nrows))
     if tab.minimize(width) == "unbounded":
         return LPResult("unbounded")
     point = extract()
     value = sum(
         (c * x for c, x in zip(problem.objective, point)), start=Fraction(0)
     )
-    return LPResult("optimal", point, value)
+    duals = tuple(
+        Fraction(-d if con.rhs < 0 else d)
+        for d, con in zip(tab.cost[width:-1], problem.constraints)
+    )
+    return LPResult("optimal", point, value, duals)
+
+
+def _hull(p: RationalPoint, vset: VertexSet, objective=None) -> LPResult:
+    """Convex weights on the words of ``vset`` combining to ``p``; any
+    ``objective`` is maximised."""
+    dim = vset.layout.dim
+    if p.dim != dim:
+        raise DimensionMismatchError(f"point of dim {p.dim} against vertex set of dim {dim}")
+    words = vset.words
+    constraints = [
+        LPConstraint(tuple((w >> (dim - 1 - d)) & 1 for w in words), "=", p.coords[d])
+        for d in range(dim)
+    ]
+    constraints.append(LPConstraint((1,) * len(words), "=", 1))
+    return lp_feasible(LPProblem(len(words), tuple(constraints), objective))
 
 
 def conv_membership(p: RationalPoint, v: VertexSet) -> bool:
     """True iff ``p`` is a convex combination of the vertices of ``v``."""
-    dim = v.layout.dim
-    if p.dim != dim:
-        raise DimensionMismatchError(
-            f"point of dim {p.dim} against vertex set of dim {dim}"
-        )
-    words = v.words
-    n = len(words)
-    constraints = []
-    for d in range(dim):
-        shift = dim - 1 - d
-        coeffs = tuple((w >> shift) & 1 for w in words)
-        constraints.append(LPConstraint(coeffs, "=", p.coords[d]))
-    constraints.append(LPConstraint((1,) * n, "=", 1))
-    result = lp_feasible(
-        LPProblem(variables=n, constraints=tuple(constraints), nonnegative=True)
-    )
-    return result.status == "feasible"
+    return _hull(p, v).status == "feasible"
 
 
 def adjacent(u: Vertex01, v: Vertex01, vset: VertexSet) -> bool:
@@ -305,10 +292,22 @@ def is_face_subset(
 ) -> tuple[bool, LinearForm | None]:
     """Decide whether ``s`` is exactly the vertex set of a face.
 
-    Searches for a rational hyperplane a.x = b with a.x = b on ``s`` and
-    a.x <= b - 1 on every other vertex (the unit gap costs nothing after
-    scaling).  On success returns an integer certificate, re-validated
-    against all vertices before being returned.
+    Maximises the weight outside ``s`` of a convex combination equal to the
+    barycenter of ``s``, which lies in the relative interior of the smallest
+    face containing ``s``: ``s`` is a face iff the maximum is 0.  Then the
+    optimal duals (y, z) of the coordinate and convexity rows give -y.x <= z,
+    tight on ``s`` with a unit gap on every other vertex; scaled to integers,
+    it is re-validated against all vertices before being returned.
+
+    >>> from polyface import lop_vertices
+    >>> lop3 = lop_vertices(3)
+    >>> ok, certificate = is_face_subset(
+    ...     [Vertex01.from_string("111"), Vertex01.from_string("011")], lop3)
+    >>> ok, certificate.render()
+    (True, '0 1 1 <= 2')
+    >>> is_face_subset(
+    ...     [Vertex01.from_string("111"), Vertex01.from_string("000")], lop3)
+    (False, None)
     """
     if not s:
         raise InvalidParameterError("the candidate face must be nonempty")
@@ -318,24 +317,15 @@ def is_face_subset(
         if x not in vset:
             raise InvalidVertexError(f"{x} is not a vertex of the set")
         want.add(x.word)
-    constraints = []
-    for word in vset.words:
-        coeffs = tuple(
-            (word >> (dim - 1 - d)) & 1 for d in range(dim)
-        ) + (-1,)
-        if word in want:
-            constraints.append(LPConstraint(coeffs, "=", 0))
-        else:
-            constraints.append(LPConstraint(coeffs, "<=", -1))
-    result = lp_feasible(
-        LPProblem(variables=dim + 1, constraints=tuple(constraints))
-    )
-    if result.status != "feasible":
+    counts = (sum((w >> (dim - 1 - d)) & 1 for w in want) for d in range(dim))
+    barycenter = RationalPoint(tuple(Fraction(c, len(want)) for c in counts))
+    objective = tuple(int(w not in want) for w in vset.words)
+    result = _hull(barycenter, vset, objective)
+    if result.objective_value:
         return False, None
-    point = result.point
-    scale = lcm(*(Fraction(c).denominator for c in point)) if point else 1
-    coeffs = tuple(int(c * scale) for c in point[:dim])
-    beta = int(point[dim] * scale)
+    scale = lcm(*(u.denominator for u in result.duals))
+    coeffs = tuple(int(-u * scale) for u in result.duals[:dim])
+    beta = int(result.duals[dim] * scale)
     certificate = LinearForm(coeffs, "<=", beta)
     for word in vset.words:
         value = certificate.evaluate_word(word)

@@ -204,7 +204,9 @@ def test_criterion_8_cross_oracle_consistency():
     """Midpoint adjacency agrees with the two-vertex face certificate on
     every vertex pair of the small order and quadric polytopes."""
     failures = []
-    for label, vs in (("lop(3)", lop_vertices(3)), ("bqp(2)", bqp_vertices(2))):
+    hosts = [(f"lop({m})", lop_vertices(m)) for m in (3, 4)]
+    hosts += [(f"bqp({n})", bqp_vertices(n)) for n in (2, 3)]
+    for label, vs in hosts:
         for u, v in combinations(vs.vertices, 2):
             midpoint_route = adjacent(u, v, vs)
             face_route, _ = is_face_subset([u, v], vs)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polyface import VertexSet, lop_vertices
+from polyface import LinearForm, VertexSet, lop_vertices
 from polyface.cli import main
 from polyface.generators import Graph
 
@@ -246,6 +246,25 @@ class TestGeometryCommand:
         obj = json.loads(stdout)
         assert obj["details"]["certificate"]
 
+    def test_theorem1_face_certificate_holds_on_lop6(self, capsys, tmp_path, lop6):
+        path = tmp_path / "lop6.vs"
+        path.write_text(lop6.to_text())
+        code, stdout, _ = run(
+            capsys, "geometry", "face", "--set", str(path),
+            "--subset", "theorem1-face", "--format", "json",
+        )
+        assert code == 0
+        obj = json.loads(stdout)
+        certificate = LinearForm.parse(obj["details"]["certificate"])
+        face = set(obj["params"]["subset"])
+        assert len(face) == 8 and len(lop6) == 720
+        for v in lop6:
+            value = certificate.evaluate(v)
+            if v.to_string() in face:
+                assert value == certificate.rhs
+            else:
+                assert value <= certificate.rhs - 1
+
     def test_named_subset_clique(self, capsys, tmp_path):
         path = tmp_path / "lop4.vs"
         path.write_text(lop_vertices(4).to_text())
@@ -317,6 +336,9 @@ class TestReportCommand:
         {"construction": "demo", "assertions": ["broken"]},
         {"construction": "demo", "assertions": [{"pass": False}]},
         {"construction": "demo", "assertions": [{"name": "x", "pass": "false"}]},
+        {"construction": "demo", "assertions": [{"name": 7, "pass": True}]},
+        {"construction": "demo", "assertions": [{"name": "x", "pass": False, "witness": 3}]},
+        {"construction": "demo", "assertions": [{"name": "x", "pass": True, "witness": "w"}]},
     ])
     def test_malformed_report_is_an_error(self, capsys, tmp_path, obj):
         report_path = tmp_path / "report.json"

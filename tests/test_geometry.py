@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -81,6 +82,24 @@ def hull_oracle(coords, vset) -> bool:
     return False
 
 
+def unit_gap_face(s, vset) -> bool:
+    """Independent face test: search for a hyperplane a.x = b on ``s`` with
+    a.x <= b - 1 on every other vertex, in free variables (a, b) split into
+    nonnegative columns x+ then x-.  One row per host vertex."""
+    dim = vset.layout.dim
+    want = {x.word for x in s}
+    constraints = []
+    for word in vset.words:
+        coeffs = tuple((word >> (dim - 1 - d)) & 1 for d in range(dim)) + (-1,)
+        split = tuple(v for c in coeffs for v in (c, -c))
+        if word in want:
+            constraints.append(LPConstraint(split, "=", 0))
+        else:
+            constraints.append(LPConstraint(split, "<=", -1))
+    problem = LPProblem(2 * (dim + 1), tuple(constraints))
+    return lp_feasible(problem).status == "feasible"
+
+
 class TestLpFeasible:
     def test_box_feasible(self):
         problem = LPProblem(
@@ -109,7 +128,6 @@ class TestLpFeasible:
             1,
             (LPConstraint((1,), ">=", 0),),
             objective=(1,),
-            sense="max",
         )
         assert lp_feasible(problem).status == "unbounded"
 
@@ -121,25 +139,24 @@ class TestLpFeasible:
                 LPConstraint((1, 0), "<=", 2),
             ),
             objective=(3, 2),
-            sense="max",
-            nonnegative=True,
         )
         result = lp_feasible(problem)
         assert result.status == "optimal"
         assert result.objective_value == 10
         assert result.point == (2, 2)
+        assert result.duals == (2, 1)
 
     def test_min_sense(self):
+        # a minimum of c is a maximum of -c
         problem = LPProblem(
             2,
             (LPConstraint((1, 1), ">=", 3),),
-            objective=(1, 1),
-            sense="min",
-            nonnegative=True,
+            objective=(-1, -1),
         )
         result = lp_feasible(problem)
         assert result.status == "optimal"
-        assert result.objective_value == 3
+        assert result.objective_value == -3
+        assert result.duals == (-1,)
 
     def test_exact_fractional_solution(self):
         problem = LPProblem(
@@ -187,6 +204,7 @@ class TestLpFeasible:
         result = lp_feasible(problem)
         assert result.status in ("feasible", "infeasible")
         if result.status == "feasible":
+            assert all(x >= 0 for x in result.point)
             for con in constraints:
                 value = sum(c * x for c, x in zip(con.coeffs, result.point))
                 if con.relation == "<=":
@@ -223,7 +241,7 @@ class TestConvMembership:
 
     def test_agrees_with_barycentric_oracle_on_vertices_and_midpoints(self):
         vs = lop_vertices(3)
-        points = [RationalPoint.from_vertex(v) for v in vs]
+        points = [RationalPoint.of(v.bits) for v in vs]
         points += [
             RationalPoint.midpoint(u, v)
             for u, v in combinations(vs.vertices, 2)
@@ -366,3 +384,39 @@ class TestCrossOracleConsistency:
         for u, v in combinations(vs.vertices, 2):
             ok, _ = is_face_subset([u, v], vs)
             assert adjacent(u, v, vs) == ok
+
+
+class TestFaceOracle:
+    """The barycenter LP against the unit-gap hyperplane search."""
+
+    @pytest.mark.parametrize("family", ["bqp3", "lop3"])
+    def test_every_small_subset(self, family):
+        vs = bqp_vertices(3) if family == "bqp3" else lop_vertices(3)
+        for size in (1, 2, 3):
+            for subset in combinations(vs.vertices, size):
+                ok, _ = is_face_subset(list(subset), vs)
+                assert ok == unit_gap_face(subset, vs), subset
+
+    def test_seeded_subsets_of_lop4(self):
+        vs = lop_vertices(4)
+        rng = random.Random(8)
+        verdicts = set()
+        for _ in range(24):
+            subset = rng.sample(vs.vertices, rng.randint(1, 4))
+            ok, _ = is_face_subset(subset, vs)
+            assert ok == unit_gap_face(subset, vs), subset
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_seeded_subsets_of_a_low_dimensional_host(self, lop6):
+        # the Theorem-1 face of lop(6): 8 vertices, a 6-dimensional hull in 15
+        # coordinates, so the hull LP has redundant coordinate rows
+        face = extract_face(lop6, theorem1_system(3)).face
+        rng = random.Random(8)
+        verdicts = set()
+        for _ in range(30):
+            subset = rng.sample(face.vertices, rng.randint(1, 8))
+            ok, _ = is_face_subset(subset, face)
+            assert ok == unit_gap_face(subset, face), subset
+            verdicts.add(ok)
+        assert verdicts == {True, False}

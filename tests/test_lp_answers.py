@@ -5,6 +5,13 @@ depends on the pivot sequence, which no other test fixes.  The SHA-256
 values below were recorded from a solver whose answers are audited by
 substitution; any change to Bland's entering rule, the leaving tie-break,
 the column order of the standard form or the pivot arithmetic shows here.
+
+The solver takes nonnegative variables and maximises.  The random programs
+may have free variables or a minimum; ``standard_form`` rewrites them into
+the solver's form.
+
+Face verdicts and face certificates have separate pins: the verdicts are a
+fact about the polytopes, the certificates one dual solution among many.
 """
 
 import hashlib
@@ -23,7 +30,8 @@ from polyface import (
 )
 
 RANDOM_LPS = "b8f747d28e82409567e3b8ed842ef218f5a0a3582e422cbc9c4bc6b4077ddf13"
-FACE_CERTIFICATES = "31fb0c063218983bb9624a5a02d86b3b8b1754188bb0c0b175a5fd17b78e94c6"
+FACE_VERDICTS = "afea0428334788366c8e23676e1cd5e722d1c048263d2f0eb64e4d35d6d54034"
+FACE_CERTIFICATES = "98c8c7778bfe378f2ce1cbd5e5cd699a4d7511c47d0f066d8492b3f51debfe99"
 ADJACENCY = "500b213b0c5d3ba15b00d3ffeaec96903362be011944fcb437c69567b6ecb3d7"
 
 
@@ -31,9 +39,10 @@ def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def random_problem(rng: random.Random) -> LPProblem:
+def random_problem(rng: random.Random):
     """One small program: free or nonnegative variables, every relation,
-    integer or fractional right-hand sides, with or without an objective."""
+    integer or fractional right-hand sides, with or without an objective,
+    maximised or minimised.  Returned as (problem, sense, nonnegative)."""
     nvars = rng.randint(0, 4)
     constraints = []
     for _ in range(rng.randint(1, 5)):
@@ -50,44 +59,98 @@ def random_problem(rng: random.Random) -> LPProblem:
     objective = None
     if rng.random() < 0.5:
         objective = tuple(rng.randint(-3, 3) for _ in range(nvars))
+    problem = LPProblem(nvars, tuple(constraints), objective)
+    return problem, rng.choice(("max", "min")), rng.random() < 0.5
+
+
+def standard_form(problem: LPProblem, sense: str, nonnegative: bool) -> LPProblem:
+    """The solver's program: a free variable x becomes the columns x+ then
+    x-, and a minimum of c becomes a maximum of -c."""
+
+    def split(coeffs):
+        return tuple(coeffs) if nonnegative else tuple(v for c in coeffs for v in (c, -c))
+
+    objective = problem.objective
+    if objective is not None:
+        objective = split(c if sense == "max" else -c for c in objective)
     return LPProblem(
-        nvars,
-        tuple(constraints),
-        objective=objective,
-        sense=rng.choice(("max", "min")),
-        nonnegative=rng.random() < 0.5,
+        len(split([0] * problem.variables)),
+        tuple(LPConstraint(split(con.coeffs), con.relation, con.rhs)
+              for con in problem.constraints),
+        objective,
     )
 
 
-def random_lp_answers(count: int = 1000, seed: int = 2017):
+def solve(problem: LPProblem, sense: str, nonnegative: bool):
+    """Status, point and objective value of ``problem`` in its own variables,
+    plus the solver's program and result."""
+    std = standard_form(problem, sense, nonnegative)
+    result = lp_feasible(std)
+    point = result.point
+    if point is not None and not nonnegative:
+        point = tuple(point[2 * i] - point[2 * i + 1] for i in range(problem.variables))
+    value = None
+    if result.status == "optimal":
+        value = sum((c * x for c, x in zip(problem.objective, point)), start=Fraction(0))
+    return (result.status, point, value), std, result
+
+
+def random_lps(count: int = 1000, seed: int = 2017):
     rng = random.Random(seed)
     for _ in range(count):
-        result = lp_feasible(random_problem(rng))
-        yield repr((result.status, result.point, result.objective_value))
+        yield solve(*random_problem(rng))
 
 
 def test_random_lp_answers_are_pinned():
-    answers = list(random_lp_answers())
+    answers = [repr(answer) for answer, _, _ in random_lps()]
     statuses = {a.split("'")[1] for a in answers}
     assert statuses == {"feasible", "infeasible", "optimal", "unbounded"}
     assert digest(answers) == RANDOM_LPS
 
 
-def face_certificates():
+def test_optimal_duals_certify_the_optimum():
+    """Without the solver: strong duality, dual feasibility A^T u >= c and
+    the sign of each inequality's dual."""
+    optimal = 0
+    for _, problem, result in random_lps():
+        if result.status != "optimal":
+            assert result.duals is None
+            continue
+        optimal += 1
+        duals, constraints = result.duals, problem.constraints
+        assert len(duals) == len(constraints)
+        assert sum(u * con.rhs for u, con in zip(duals, constraints)) == result.objective_value
+        for j, c in enumerate(problem.objective):
+            assert sum(u * con.coeffs[j] for u, con in zip(duals, constraints)) >= c
+        for u, con in zip(duals, constraints):
+            if con.relation != "=":
+                assert u >= 0 if con.relation == "<=" else u <= 0
+    assert optimal >= 100
+
+
+def face_subsets():
     for vs in (bqp_vertices(3), lop_vertices(3)):
         vertices = vs.vertices
         for size in (1, 2, 3):
             for subset in combinations(vertices, size):
-                ok, certificate = is_face_subset(list(subset), vs)
-                yield f"{ok} {certificate.render() if ok else None}"
+                yield list(subset), vs
     vs = lop_vertices(4)
     for subset in ((0, 1), (0, 23), (3, 5, 9)):
-        ok, certificate = is_face_subset([vs.vertices[i] for i in subset], vs)
-        yield f"{ok} {certificate.render() if ok else None}"
+        yield [vs.vertices[i] for i in subset], vs
+
+
+def test_face_verdicts_are_pinned():
+    verdicts = (str(is_face_subset(subset, vs)[0]) for subset, vs in face_subsets())
+    assert digest(verdicts) == FACE_VERDICTS
 
 
 def test_face_certificates_are_pinned():
-    assert digest(face_certificates()) == FACE_CERTIFICATES
+    def lines():
+        for subset, vs in face_subsets():
+            ok, certificate = is_face_subset(subset, vs)
+            yield f"{ok} {certificate.render() if ok else None}"
+
+    assert digest(lines()) == FACE_CERTIFICATES
 
 
 def adjacency_verdicts():
