@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -30,31 +29,14 @@ from .faces import FaceSystem, extract_face
 from .generators import (
     DEFAULT_MAX_DCP_COLS,
     DEFAULT_MAX_PERMS,
-    DEFAULT_ORACLE_MAX_M,
     FourOnesMatrix,
     Graph,
     bqp_vertices,
     dcp_vertices,
     lop_vertices,
-    lop_vertices_oracle,
     stable_vertices,
 )
 from .geometry import adjacent, clique_check, is_face_subset
-
-ENV_MAX_PERMS = "POLYFACE_MAX_PERMS"
-
-
-def _max_perms(args) -> int:
-    if args.max_perms is not None:
-        return args.max_perms
-    env = os.environ.get(ENV_MAX_PERMS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"{ENV_MAX_PERMS} must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_PERMS
-
 
 def _read_vertex_set(path: str) -> VertexSet:
     text = Path(path).read_text()
@@ -87,9 +69,7 @@ def cmd_generate(args) -> int:
     if family == "bqp":
         vs = bqp_vertices(_require(args, "n", "--n"))
     elif family == "lop":
-        vs = lop_vertices(_require(args, "m", "--m"), max_perms=_max_perms(args))
-    elif family == "lop-oracle":
-        vs = lop_vertices_oracle(_require(args, "m", "--m"), max_m=args.max_oracle_m)
+        vs = lop_vertices(_require(args, "m", "--m"), max_perms=args.max_perms)
     elif family == "stable":
         graph = Graph.parse(Path(_require(args, "graph", "--graph")).read_text())
         vs = stable_vertices(graph)
@@ -131,15 +111,15 @@ def cmd_face(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.construction == "theorem1":
-        report = theorem1_verify(_require(args, "n", "--n"), max_perms=_max_perms(args))
+        report = theorem1_verify(_require(args, "n", "--n"), max_perms=args.max_perms)
     elif args.construction == "lemma1":
         graph = Graph.parse(Path(_require(args, "graph", "--graph")).read_text())
-        report = lemma1_verify(graph, max_perms=_max_perms(args))
+        report = lemma1_verify(graph, max_perms=args.max_perms)
     else:
         report = dcp_verify(
             _require(args, "m", "--m"),
             max_cols=args.max_cols,
-            max_perms=_max_perms(args),
+            max_perms=args.max_perms,
         )
     _emit_report(report, args)
     return 0 if report.all_passed else 1
@@ -249,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = {"choices": ("text", "json"), "default": "text"}
 
     p = sub.add_parser("generate", help="enumerate a vertex set")
-    p.add_argument("family", choices=("bqp", "lop", "lop-oracle", "stable", "dcp"))
+    p.add_argument("family", choices=("bqp", "lop", "stable", "dcp"))
     p.add_argument("--n", type=int, help="variable count for bqp")
-    p.add_argument("--m", type=int, help="element count for lop / lop-oracle")
+    p.add_argument("--m", type=int, help="element count for lop")
     p.add_argument("--graph", help="graph file for stable")
     p.add_argument("--matrix", help="four-ones matrix file for dcp")
     p.add_argument("--out", help="write the vertex set to this file")
@@ -259,15 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-perms",
         type=int,
-        default=None,
-        help=f"linear-order enumeration budget (default {DEFAULT_MAX_PERMS}; "
-        f"env {ENV_MAX_PERMS} overrides)",
-    )
-    p.add_argument(
-        "--max-oracle-m",
-        type=int,
-        default=DEFAULT_ORACLE_MAX_M,
-        help=f"element cap for the brute-force oracle (default {DEFAULT_ORACLE_MAX_M})",
+        default=DEFAULT_MAX_PERMS,
+        help=f"linear-order enumeration budget (default {DEFAULT_MAX_PERMS})",
     )
     p.add_argument(
         "--max-cols",
@@ -299,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-perms",
         type=int,
-        default=None,
-        help=f"linear-order enumeration budget (default {DEFAULT_MAX_PERMS}; "
-        f"env {ENV_MAX_PERMS} overrides)",
+        default=DEFAULT_MAX_PERMS,
+        help=f"linear-order enumeration budget (default {DEFAULT_MAX_PERMS})",
     )
     p.add_argument(
         "--max-cols",

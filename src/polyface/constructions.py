@@ -36,7 +36,6 @@ from .core import (
     word_to_string,
 )
 from .errors import (
-    CapacityError,
     DimensionMismatchError,
     InvalidParameterError,
     InvalidVertexError,
@@ -121,8 +120,12 @@ class Report:
                     raise ParseError("bad report object: 'witness' must be a string on a "
                                      f"failing assertion, got {witness!r}")
                 assertions.append(Assertion(name, passed, witness))
+            construction = obj["construction"]
+            if not isinstance(construction, str):
+                raise ParseError("bad report object: 'construction' must be a string, "
+                                 f"got {construction!r}")
             return cls(
-                construction=obj["construction"],
+                construction=construction,
                 params=dict(_require_object(obj.get("params", {}), "params")),
                 assertions=assertions,
                 details=dict(_require_object(obj.get("details", {}), "details")),
@@ -581,10 +584,6 @@ def dcp_verify(
     """
     emb = dcp_embedding(m)
     ncols = emb.layout.dim
-    if ncols > max_cols:
-        raise CapacityError(
-            f"embedding for m={m} has {ncols} columns, over the cap of {max_cols}"
-        )
     report = Report("dcp", {"m": m})
     expected_rows = m * (m - 1) * (m + 1) // 6
     report.check(

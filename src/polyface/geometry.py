@@ -5,17 +5,20 @@ Bland's anti-cycling rule and explicit artificial variables: slow by design,
 exact by construction.  Every answer is audited by substituting the returned
 point back into the constraints before it leaves this module.
 
-Tableau layout.  Columns come in a fixed order: the structural columns, one
-slack per inequality in constraint order (+1 for <=, -1 for >=), then one
-artificial per row.  Each row ends with its right-hand side, kept
-nonnegative by negating the whole row.  The cost row holds the reduced costs
-of the current objective under the current basis and ends with minus the
-objective value; one pricing routine builds it for both phases, with cost 1
-on the artificials in phase one and the negated objective in phase two.
-The artificials leave the basis after phase one and never re-enter, but
-their columns stay: at a phase-two optimum the reduced cost of row r's
-artificial is row r's dual u_r (negated if the row was negated), with
-``u.rhs == objective value``, ``A^T u >= c``, and u_r >= 0 (<=) or <= 0 (>=).
+Program form.  The solver takes one form: maximise c.x subject to A x = b,
+x >= 0.  Inequalities, free variables and minimisation are the caller's to
+rewrite; every program this module poses is already in that form.
+
+Tableau layout.  Columns come in a fixed order: the structural columns, then
+one artificial per row.  Each row ends with its right-hand side, kept
+nonnegative by negating the row before its artificial is appended.  The cost
+row holds the reduced costs of the current objective under the current basis
+and ends with minus the objective value; one pricing routine builds it for
+both phases, with cost 1 on the artificials in phase one and the negated
+objective in phase two.  The artificials leave the basis after phase one and
+never re-enter, but their columns stay: at a phase-two optimum the reduced
+cost of row r's artificial is row r's dual y_r (negated if the row was
+negated), a free y with ``b.y == objective value`` and ``A^T y >= c``.
 
 Every predicate solves one hull LP: a column per host vertex, a row per
 coordinate and a convexity row.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import RELATIONS, LinearForm, Vertex01, VertexSet
+from .core import LinearForm, Vertex01, VertexSet
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -68,21 +71,18 @@ class RationalPoint:
 
 @dataclass(frozen=True)
 class LPConstraint:
-    coeffs: tuple
-    relation: str
-    rhs: object
+    """One equality row ``coeffs . x == rhs``."""
 
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise InvalidParameterError(f"relation must be one of {RELATIONS}")
+    coeffs: tuple
+    rhs: object
 
 
 @dataclass(frozen=True)
 class LPProblem:
-    """A linear program over exact rationals in nonnegative variables.
+    """Maximise ``objective . x`` subject to the equality ``constraints``
+    and x >= 0, over exact rationals.
 
-    ``objective`` is optional and always maximised; without it only
-    feasibility is decided.
+    ``objective`` is optional; without it only feasibility is decided.
     """
 
     variables: int
@@ -161,26 +161,30 @@ class _Tableau:
 
 def _audit(problem: LPProblem, point) -> None:
     for con in problem.constraints:
-        value = sum(c * x for c, x in zip(con.coeffs, point))
-        ok = (
-            value <= con.rhs
-            if con.relation == "<="
-            else value >= con.rhs if con.relation == ">=" else value == con.rhs
-        )
-        if not ok:
-            raise PolyfaceError(
-                f"simplex returned a point violating {con.relation} constraint"
-            )
+        if sum(c * x for c, x in zip(con.coeffs, point)) != con.rhs:
+            raise PolyfaceError("simplex returned a point violating an equality")
     if any(x < 0 for x in point):
         raise PolyfaceError("simplex returned a negative coordinate")
 
 
 def lp_feasible(problem: LPProblem) -> LPResult:
-    """Solve the program exactly.
+    """Solve ``max c.x`` subject to ``A x = b``, ``x >= 0`` exactly.
 
     Without an objective, stops after phase one and reports feasibility with
     an exact witness point.  With an objective, continues to optimality,
     reporting the duals with the optimum and unboundedness distinctly.
+    An inequality enters as an equality with its own slack column: maximise
+    3x + 2y subject to x + y <= 4 and x <= 2.
+
+    >>> result = lp_feasible(LPProblem(
+    ...     4, (LPConstraint((1, 1, 1, 0), 4), LPConstraint((1, 0, 0, 1), 2)),
+    ...     objective=(3, 2, 0, 0)))
+    >>> result.status
+    'optimal'
+    >>> [str(x) for x in result.point], str(result.objective_value)
+    (['2', '2', '0', '0'], '10')
+    >>> [str(y) for y in result.duals]
+    ['2', '1']
     """
     nvars = problem.variables
     if nvars < 0:
@@ -193,26 +197,14 @@ def lp_feasible(problem: LPProblem) -> LPResult:
     if problem.objective is not None and len(problem.objective) != nvars:
         raise DimensionMismatchError("objective width does not match variable count")
 
-    nslack = sum(con.relation != "=" for con in problem.constraints)
+    nrows = len(problem.constraints)
     rows = []
-    k = 0
-    for con in problem.constraints:
-        slack = [0] * nslack
-        if con.relation != "=":
-            slack[k] = 1 if con.relation == "<=" else -1
-            k += 1
-        row = list(con.coeffs) + slack + [con.rhs]
-        rows.append([-a for a in row] if con.rhs < 0 else row)
-    width = nvars + nslack
-    nrows = len(rows)
-    rows = [
-        row[:-1] + [int(i == r) for i in range(nrows)] + row[-1:]
-        for r, row in enumerate(rows)
-    ]
+    for r, con in enumerate(problem.constraints):
+        row = list(con.coeffs) if con.rhs >= 0 else [-a for a in con.coeffs]
+        rows.append(row + [int(i == r) for i in range(nrows)] + [abs(con.rhs)])
     # Phase one: minimize the sum of the artificials.
-    basis = list(range(width, width + nrows))
-    tab = _Tableau(rows, basis, [0] * width + [1] * nrows)
-    if tab.minimize(width) != "optimal":  # phase one is bounded below by zero
+    tab = _Tableau(rows, list(range(nvars, nvars + nrows)), [0] * nvars + [1] * nrows)
+    if tab.minimize(nvars) != "optimal":  # phase one is bounded below by zero
         raise PolyfaceError("internal error: unbounded feasibility phase")
     if tab.cost[-1] != 0:
         return LPResult("infeasible")
@@ -220,8 +212,8 @@ def lp_feasible(problem: LPProblem) -> LPResult:
     # Drive the artificials out of the basis; drop the rows left redundant.
     r = 0
     while r < len(tab.rows):
-        if tab.basis[r] >= width:
-            enter = next((j for j in range(width) if tab.rows[r][j] != 0), None)
+        if tab.basis[r] >= nvars:
+            enter = next((j for j in range(nvars) if tab.rows[r][j] != 0), None)
             if enter is None:
                 del tab.rows[r], tab.basis[r]
                 continue
@@ -229,19 +221,18 @@ def lp_feasible(problem: LPProblem) -> LPResult:
         r += 1
 
     def extract() -> tuple[Fraction, ...]:
-        point = [Fraction(0)] * width
+        point = [Fraction(0)] * nvars
         for row, j in zip(tab.rows, tab.basis):
             point[j] = Fraction(row[-1])
-        point = tuple(point[:nvars])
         _audit(problem, point)
-        return point
+        return tuple(point)
 
     if problem.objective is None:
         return LPResult("feasible", extract())
 
     # Phase two on the real objective; the artificials never re-enter.
-    tab.price([-c for c in problem.objective] + [0] * (nslack + nrows))
-    if tab.minimize(width) == "unbounded":
+    tab.price([-c for c in problem.objective] + [0] * nrows)
+    if tab.minimize(nvars) == "unbounded":
         return LPResult("unbounded")
     point = extract()
     value = sum(
@@ -249,7 +240,7 @@ def lp_feasible(problem: LPProblem) -> LPResult:
     )
     duals = tuple(
         Fraction(-d if con.rhs < 0 else d)
-        for d, con in zip(tab.cost[width:-1], problem.constraints)
+        for d, con in zip(tab.cost[nvars:-1], problem.constraints)
     )
     return LPResult("optimal", point, value, duals)
 
@@ -262,10 +253,10 @@ def _hull(p: RationalPoint, vset: VertexSet, objective=None) -> LPResult:
         raise DimensionMismatchError(f"point of dim {p.dim} against vertex set of dim {dim}")
     words = vset.words
     constraints = [
-        LPConstraint(tuple((w >> (dim - 1 - d)) & 1 for w in words), "=", p.coords[d])
+        LPConstraint(tuple((w >> (dim - 1 - d)) & 1 for w in words), p.coords[d])
         for d in range(dim)
     ]
-    constraints.append(LPConstraint((1,) * len(words), "=", 1))
+    constraints.append(LPConstraint((1,) * len(words), 1))
     return lp_feasible(LPProblem(len(words), tuple(constraints), objective))
 
 

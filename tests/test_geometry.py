@@ -85,28 +85,32 @@ def hull_oracle(coords, vset) -> bool:
 def unit_gap_face(s, vset) -> bool:
     """Independent face test: search for a hyperplane a.x = b on ``s`` with
     a.x <= b - 1 on every other vertex, in free variables (a, b) split into
-    nonnegative columns x+ then x-.  One row per host vertex."""
+    nonnegative columns x+ then x-, followed by one slack column per vertex
+    outside ``s``.  One row per host vertex."""
     dim = vset.layout.dim
     want = {x.word for x in s}
+    outside = [w for w in vset.words if w not in want]
     constraints = []
     for word in vset.words:
         coeffs = tuple((word >> (dim - 1 - d)) & 1 for d in range(dim)) + (-1,)
         split = tuple(v for c in coeffs for v in (c, -c))
-        if word in want:
-            constraints.append(LPConstraint(split, "=", 0))
-        else:
-            constraints.append(LPConstraint(split, "<=", -1))
-    problem = LPProblem(2 * (dim + 1), tuple(constraints))
+        slack = tuple(int(w == word) for w in outside)
+        constraints.append(LPConstraint(split + slack, 0 if word in want else -1))
+    problem = LPProblem(2 * (dim + 1) + len(outside), tuple(constraints))
     return lp_feasible(problem).status == "feasible"
 
 
 class TestLpFeasible:
+    """Programs in the solver's form: equality rows over nonnegative
+    variables, an inequality written with its own slack column."""
+
     def test_box_feasible(self):
+        # x >= 0 and x <= 1 in the columns (x, s, t)
         problem = LPProblem(
-            1,
+            3,
             (
-                LPConstraint((1,), ">=", 0),
-                LPConstraint((1,), "<=", 1),
+                LPConstraint((1, -1, 0), 0),
+                LPConstraint((1, 0, 1), 1),
             ),
         )
         result = lp_feasible(problem)
@@ -114,54 +118,73 @@ class TestLpFeasible:
         assert 0 <= result.point[0] <= 1
 
     def test_contradiction_infeasible(self):
+        # x >= 1 and x <= 0
         problem = LPProblem(
-            1,
+            3,
             (
-                LPConstraint((1,), ">=", 1),
-                LPConstraint((1,), "<=", 0),
+                LPConstraint((1, -1, 0), 1),
+                LPConstraint((1, 0, 1), 0),
             ),
         )
         assert lp_feasible(problem).status == "infeasible"
 
     def test_unbounded_with_objective(self):
         problem = LPProblem(
-            1,
-            (LPConstraint((1,), ">=", 0),),
-            objective=(1,),
+            2,
+            (LPConstraint((1, -1), 0),),
+            objective=(1, 0),
         )
         assert lp_feasible(problem).status == "unbounded"
 
     def test_optimal_value(self):
+        # max 3x + 2y with x + y <= 4 and x <= 2
         problem = LPProblem(
-            2,
+            4,
             (
-                LPConstraint((1, 1), "<=", 4),
-                LPConstraint((1, 0), "<=", 2),
+                LPConstraint((1, 1, 1, 0), 4),
+                LPConstraint((1, 0, 0, 1), 2),
             ),
-            objective=(3, 2),
+            objective=(3, 2, 0, 0),
         )
         result = lp_feasible(problem)
         assert result.status == "optimal"
         assert result.objective_value == 10
-        assert result.point == (2, 2)
+        assert result.point == (2, 2, 0, 0)
         assert result.duals == (2, 1)
 
     def test_min_sense(self):
-        # a minimum of c is a maximum of -c
+        # a minimum of x + y with x + y >= 3 is a maximum of -x - y
         problem = LPProblem(
-            2,
-            (LPConstraint((1, 1), ">=", 3),),
-            objective=(-1, -1),
+            3,
+            (LPConstraint((1, 1, -1), 3),),
+            objective=(-1, -1, 0),
         )
         result = lp_feasible(problem)
         assert result.status == "optimal"
         assert result.objective_value == -3
         assert result.duals == (-1,)
 
+    def test_negated_row_optimum_and_duals(self):
+        # max -x - 2y with x + y >= 2, written -x - y + s = -2, and x <= 3;
+        # the first row is negated inside the solver and its dual flipped back
+        problem = LPProblem(
+            4,
+            (
+                LPConstraint((-1, -1, 1, 0), -2),
+                LPConstraint((1, 0, 0, 1), 3),
+            ),
+            objective=(-1, -2, 0, 0),
+        )
+        result = lp_feasible(problem)
+        assert result.status == "optimal"
+        assert result.point == (2, 0, 0, 1)
+        assert result.objective_value == -2
+        assert result.duals == (1, 0)
+
     def test_exact_fractional_solution(self):
         problem = LPProblem(
             1,
-            (LPConstraint((3,), "=", 1),),
+            (LPConstraint((3,), 1),),
         )
         result = lp_feasible(problem)
         assert result.status == "feasible"
@@ -169,10 +192,10 @@ class TestLpFeasible:
 
     def test_negative_rhs_normalization(self):
         problem = LPProblem(
-            1,
+            3,
             (
-                LPConstraint((-1,), "<=", -2),  # x >= 2
-                LPConstraint((1,), "<=", 5),
+                LPConstraint((-1, 1, 0), -2),  # -x <= -2, so x >= 2
+                LPConstraint((1, 0, 1), 5),
             ),
         )
         result = lp_feasible(problem)
@@ -180,39 +203,49 @@ class TestLpFeasible:
         assert 2 <= result.point[0] <= 5
 
     def test_zero_variable_infeasible(self):
-        problem = LPProblem(0, (LPConstraint((), "=", 1),))
+        problem = LPProblem(0, (LPConstraint((), 1),))
         assert lp_feasible(problem).status == "infeasible"
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            lp_feasible(LPProblem(2, (LPConstraint((1,), "<=", 0),)))
+            lp_feasible(LPProblem(2, (LPConstraint((1,), 0),)))
 
     @settings(deadline=None, max_examples=50)
     @given(st.data())
     def test_feasible_points_are_exact(self, data):
         nvars = data.draw(st.integers(1, 3))
         nrows = data.draw(st.integers(1, 4))
-        constraints = []
+        rows = []
         for _ in range(nrows):
             coeffs = tuple(
                 data.draw(st.integers(-3, 3)) for _ in range(nvars)
             )
             relation = data.draw(st.sampled_from(["<=", ">=", "="]))
             rhs = data.draw(st.integers(-4, 4))
-            constraints.append(LPConstraint(coeffs, relation, rhs))
-        problem = LPProblem(nvars, tuple(constraints))
-        result = lp_feasible(problem)
+            rows.append((coeffs, relation, rhs))
+        inequalities = [i for i, row in enumerate(rows) if row[1] != "="]
+        constraints = tuple(
+            LPConstraint(
+                coeffs
+                + tuple((1 if relation == "<=" else -1) * (k == i) for k in inequalities),
+                rhs,
+            )
+            for i, (coeffs, relation, rhs) in enumerate(rows)
+        )
+        result = lp_feasible(LPProblem(nvars + len(inequalities), constraints))
         assert result.status in ("feasible", "infeasible")
         if result.status == "feasible":
             assert all(x >= 0 for x in result.point)
             for con in constraints:
-                value = sum(c * x for c, x in zip(con.coeffs, result.point))
-                if con.relation == "<=":
-                    assert value <= con.rhs
-                elif con.relation == ">=":
-                    assert value >= con.rhs
+                assert sum(c * x for c, x in zip(con.coeffs, result.point)) == con.rhs
+            for coeffs, relation, rhs in rows:
+                value = sum(c * x for c, x in zip(coeffs, result.point))
+                if relation == "<=":
+                    assert value <= rhs
+                elif relation == ">=":
+                    assert value >= rhs
                 else:
-                    assert value == con.rhs
+                    assert value == rhs
 
 
 class TestConvMembership:

@@ -6,9 +6,9 @@ values below were recorded from a solver whose answers are audited by
 substitution; any change to Bland's entering rule, the leaving tie-break,
 the column order of the standard form or the pivot arithmetic shows here.
 
-The solver takes nonnegative variables and maximises.  The random programs
-may have free variables or a minimum; ``standard_form`` rewrites them into
-the solver's form.
+The solver maximises over equality rows and nonnegative variables.  The
+random programs may have inequalities, free variables or a minimum;
+``standard_form`` rewrites them into the solver's form.
 
 Face verdicts and face certificates have separate pins: the verdicts are a
 fact about the polytopes, the certificates one dual solution among many.
@@ -18,6 +18,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from polyface import (
     LPConstraint,
@@ -30,6 +31,7 @@ from polyface import (
 )
 
 RANDOM_LPS = "b8f747d28e82409567e3b8ed842ef218f5a0a3582e422cbc9c4bc6b4077ddf13"
+RANDOM_DUALS = "6cd994be00d114cc5320036d9b7d1bd4cac3c97b6a55305cc7f668432ea07d21"
 FACE_VERDICTS = "afea0428334788366c8e23676e1cd5e722d1c048263d2f0eb64e4d35d6d54034"
 FACE_CERTIFICATES = "98c8c7778bfe378f2ce1cbd5e5cd699a4d7511c47d0f066d8492b3f51debfe99"
 ADJACENCY = "500b213b0c5d3ba15b00d3ffeaec96903362be011944fcb437c69567b6ecb3d7"
@@ -39,59 +41,80 @@ def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+class Row(NamedTuple):
+    """One row ``coeffs . x <relation> rhs`` of a random program."""
+
+    coeffs: tuple
+    relation: str
+    rhs: object
+
+
+class Program(NamedTuple):
+    variables: int
+    rows: tuple[Row, ...]
+    objective: tuple | None
+
+
 def random_problem(rng: random.Random):
     """One small program: free or nonnegative variables, every relation,
     integer or fractional right-hand sides, with or without an objective,
-    maximised or minimised.  Returned as (problem, sense, nonnegative)."""
+    maximised or minimised.  Returned as (program, sense, nonnegative)."""
     nvars = rng.randint(0, 4)
-    constraints = []
+    rows = []
     for _ in range(rng.randint(1, 5)):
         coeffs = tuple(rng.randint(-3, 3) for _ in range(nvars))
         rhs = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), 3)))
-        constraints.append(LPConstraint(coeffs, rng.choice(("<=", ">=", "=")), rhs))
+        rows.append(Row(coeffs, rng.choice(("<=", ">=", "=")), rhs))
     if rng.random() < 0.25:
         # A scaled copy of an equality makes a redundant row for phase one.
-        con = rng.choice(constraints)
+        row = rng.choice(rows)
         k = rng.choice((1, 2, -1))
-        constraints.append(
-            LPConstraint(tuple(k * c for c in con.coeffs), "=", k * con.rhs)
-        )
+        rows.append(Row(tuple(k * c for c in row.coeffs), "=", k * row.rhs))
     objective = None
     if rng.random() < 0.5:
         objective = tuple(rng.randint(-3, 3) for _ in range(nvars))
-    problem = LPProblem(nvars, tuple(constraints), objective)
-    return problem, rng.choice(("max", "min")), rng.random() < 0.5
+    program = Program(nvars, tuple(rows), objective)
+    return program, rng.choice(("max", "min")), rng.random() < 0.5
 
 
-def standard_form(problem: LPProblem, sense: str, nonnegative: bool) -> LPProblem:
+def standard_form(program: Program, sense: str, nonnegative: bool) -> LPProblem:
     """The solver's program: a free variable x becomes the columns x+ then
-    x-, and a minimum of c becomes a maximum of -c."""
+    x-, a minimum of c becomes a maximum of -c, and after those columns
+    each inequality gets a slack column in row order, +1 for <= and -1
+    for >=."""
 
     def split(coeffs):
         return tuple(coeffs) if nonnegative else tuple(v for c in coeffs for v in (c, -c))
 
-    objective = problem.objective
+    inequalities = [i for i, row in enumerate(program.rows) if row.relation != "="]
+    constraints = []
+    for i, row in enumerate(program.rows):
+        slack = tuple(
+            (1 if row.relation == "<=" else -1) if k == i else 0 for k in inequalities
+        )
+        constraints.append(LPConstraint(split(row.coeffs) + slack, row.rhs))
+    objective = program.objective
     if objective is not None:
         objective = split(c if sense == "max" else -c for c in objective)
-    return LPProblem(
-        len(split([0] * problem.variables)),
-        tuple(LPConstraint(split(con.coeffs), con.relation, con.rhs)
-              for con in problem.constraints),
-        objective,
-    )
+        objective += (0,) * len(inequalities)
+    width = len(split([0] * program.variables)) + len(inequalities)
+    return LPProblem(width, tuple(constraints), objective)
 
 
-def solve(problem: LPProblem, sense: str, nonnegative: bool):
-    """Status, point and objective value of ``problem`` in its own variables,
+def solve(program: Program, sense: str, nonnegative: bool):
+    """Status, point and objective value of ``program`` in its own variables,
     plus the solver's program and result."""
-    std = standard_form(problem, sense, nonnegative)
+    std = standard_form(program, sense, nonnegative)
     result = lp_feasible(std)
     point = result.point
-    if point is not None and not nonnegative:
-        point = tuple(point[2 * i] - point[2 * i + 1] for i in range(problem.variables))
+    if point is not None:
+        if nonnegative:
+            point = point[: program.variables]
+        else:
+            point = tuple(point[2 * i] - point[2 * i + 1] for i in range(program.variables))
     value = None
     if result.status == "optimal":
-        value = sum((c * x for c, x in zip(problem.objective, point)), start=Fraction(0))
+        value = sum((c * x for c, x in zip(program.objective, point)), start=Fraction(0))
     return (result.status, point, value), std, result
 
 
@@ -108,9 +131,14 @@ def test_random_lp_answers_are_pinned():
     assert digest(answers) == RANDOM_LPS
 
 
+def test_random_lp_duals_are_pinned():
+    assert digest(repr(result.duals) for _, _, result in random_lps()) == RANDOM_DUALS
+
+
 def test_optimal_duals_certify_the_optimum():
-    """Without the solver: strong duality, dual feasibility A^T u >= c and
-    the sign of each inequality's dual."""
+    """Without the solver: strong duality and dual feasibility A^T y >= c.
+    On a slack column the latter is the sign of an inequality's dual,
+    y >= 0 for <= and y <= 0 for >=."""
     optimal = 0
     for _, problem, result in random_lps():
         if result.status != "optimal":
@@ -119,12 +147,9 @@ def test_optimal_duals_certify_the_optimum():
         optimal += 1
         duals, constraints = result.duals, problem.constraints
         assert len(duals) == len(constraints)
-        assert sum(u * con.rhs for u, con in zip(duals, constraints)) == result.objective_value
+        assert sum(y * con.rhs for y, con in zip(duals, constraints)) == result.objective_value
         for j, c in enumerate(problem.objective):
-            assert sum(u * con.coeffs[j] for u, con in zip(duals, constraints)) >= c
-        for u, con in zip(duals, constraints):
-            if con.relation != "=":
-                assert u >= 0 if con.relation == "<=" else u <= 0
+            assert sum(y * con.coeffs[j] for y, con in zip(duals, constraints)) >= c
     assert optimal >= 100
 
 
