@@ -126,9 +126,19 @@ def cmd_verify(args) -> int:
 
 
 def _parse_selector(token: str, vs: VertexSet) -> Vertex01:
+    """The vertex named by a 0/1 string of length dim or by an index into
+    ``vs``.  A token that reads both ways must name one vertex both ways."""
     dim = vs.layout.dim
     if len(token) == dim and set(token) <= {"0", "1"}:
         v = Vertex01.from_string(token)
+        if token and int(token) < len(vs):
+            indexed = Vertex01(dim, vs.words[int(token)])
+            if indexed != v:
+                reading = "is a vertex" if v in vs else "is not in the set"
+                raise ParseError(
+                    f"ambiguous vertex selector {token!r}: bit string {token} "
+                    f"{reading}, index {int(token)} is vertex {indexed.to_string()}"
+                )
         if v not in vs:
             raise ParseError(f"vertex {token} not found in the set")
         return v
@@ -138,7 +148,7 @@ def _parse_selector(token: str, vs: VertexSet) -> Vertex01:
         raise ParseError(f"bad vertex selector: {token!r}") from None
     if not 0 <= index < len(vs):
         raise ParseError(f"vertex index {index} out of range [0, {len(vs)})")
-    return Vertex01(vs.layout.dim, vs.words[index])
+    return Vertex01(dim, vs.words[index])
 
 
 def _resolve_subset(args, vs: VertexSet) -> list[Vertex01]:

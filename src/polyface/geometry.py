@@ -1,23 +1,34 @@
 """Exact rational linear programming and the vertex-geometry predicates.
 
-The solver is a two-phase primal simplex over ``fractions.Fraction`` with
-Bland's anti-cycling rule and explicit artificial variables: slow by design,
-exact by construction.  Every answer is audited by substituting the returned
-point back into the constraints before it leaves this module.
+The solver is a two-phase primal simplex with Bland's anti-cycling rule and
+explicit artificial variables.  It pivots in integers and returns exact
+rationals: slow by design, exact by construction.  Every answer is audited
+by substituting the returned point back into the constraints before it
+leaves this module.
 
 Program form.  The solver takes one form: maximise c.x subject to A x = b,
-x >= 0.  Inequalities, free variables and minimisation are the caller's to
-rewrite; every program this module poses is already in that form.
+x >= 0, with integer A and c and rational b.  Inequalities, free variables
+and minimisation are the caller's to rewrite; every program this module
+poses is already in that form.
 
 Tableau layout.  Columns come in a fixed order: the structural columns, then
 one artificial per row.  Each row ends with its right-hand side, kept
-nonnegative by negating the row before its artificial is appended.  The cost
-row holds the reduced costs of the current objective under the current basis
-and ends with minus the objective value; one pricing routine builds it for
-both phases, with cost 1 on the artificials in phase one and the negated
-objective in phase two.  The artificials leave the basis after phase one and
-never re-enter, but their columns stay: at a phase-two optimum the reduced
-cost of row r's artificial is row r's dual y_r (negated if the row was
+nonnegative by negating the row before its artificial is appended, and
+scaled to an integer by L, the lcm of the right-hand sides' denominators.
+Every entry is an integer numerator over one shared positive denominator
+``det`` (over ``det * L`` in the right-hand-side column), so a basic column
+holds ``det`` in its own row.  This is Edmonds' integer-preserving simplex:
+a pivot on p = T[r][j] keeps row r, sets every other row i to
+(p T[i] - T[i][j] T[r]) / det, a division that is always exact, and then
+makes p the new ``det``.  Only the loop that drives the artificials out can
+meet p < 0; it first negates the whole tableau and ``det``.  The cost row,
+over the same ``det``, holds the reduced costs of the current objective
+under the current basis and ends with minus the objective value (over
+``det * L``); one pricing routine builds it for both phases, with cost 1 on
+the artificials in phase one and the negated objective in phase two.  The
+artificials leave the basis after phase one and never re-enter, but their
+columns stay: at a phase-two optimum the reduced cost of row r's
+artificial, over ``det``, is row r's dual y_r (negated if the row was
 negated), a free y with ``b.y == objective value`` and ``A^T y >= c``.
 
 Every predicate solves one hull LP: a column per host vertex, a row per
@@ -35,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .core import LinearForm, Vertex01, VertexSet
@@ -71,7 +83,8 @@ class RationalPoint:
 
 @dataclass(frozen=True)
 class LPConstraint:
-    """One equality row ``coeffs . x == rhs``."""
+    """One equality row ``coeffs . x == rhs``: ``int`` coefficients and a
+    rational (``int`` or ``Fraction``) right-hand side."""
 
     coeffs: tuple
     rhs: object
@@ -82,7 +95,8 @@ class LPProblem:
     """Maximise ``objective . x`` subject to the equality ``constraints``
     and x >= 0, over exact rationals.
 
-    ``objective`` is optional; without it only feasibility is decided.
+    ``objective`` is optional; without it only feasibility is decided.  Its
+    entries, like the constraint coefficients, are ``int``s.
     """
 
     variables: int
@@ -98,72 +112,101 @@ class LPResult:
     duals: tuple[Fraction, ...] | None = None  # one per constraint, if optimal
 
 
-def _eliminate(row: list, prow: list, j: int) -> list:
-    """``row`` minus the multiple of ``prow`` (whose column ``j`` is 1) that
-    clears its column ``j``."""
+def _eliminate(row: list, prow: list, support: list, j: int, p: int, det: int) -> list:
+    """``row`` with its column ``j`` cleared against the pivot row ``prow``,
+    whose column ``j`` holds ``p``, and moved from denominator ``det`` to
+    ``p``.  ``support`` holds the nonzero entries (k, prow[k])."""
     f = row[j]
-    return [a - f * b for a, b in zip(row, prow)] if f else row
+    if p != det:
+        if not f:
+            return [a * p // det for a in row]
+        return [(a * p - f * b) // det for a, b in zip(row, prow)]
+    if not f:
+        return row
+    # With p == det, det divides every f * prow[k], and only the support moves.
+    row = row.copy()
+    for k, b in support:
+        row[k] -= f * b // det
+    return row
 
 
 class _Tableau:
-    """Dense simplex tableau with Bland's rule over exact rationals, in the
-    layout described at the top of this module."""
+    """Dense integer simplex tableau with Bland's rule, in the layout
+    described at the top of this module."""
 
     def __init__(self, rows, basis, costs):
         self.rows = rows
         self.basis = basis
+        self.det = 1
         self.price(costs)
 
     def price(self, costs) -> None:
-        """Set the cost row to the reduced costs of ``costs`` (one entry per
-        column) under the current basis."""
-        cost = [*costs, 0]
+        """Set the cost row to the reduced costs of ``costs`` (one integer
+        per column) under the current basis."""
+        det = self.det
+        cost = [c * det for c in costs] + [0]
         for row, j in zip(self.rows, self.basis):
-            cost = _eliminate(cost, row, j)
+            f = costs[j]
+            if f:
+                cost = [a - f * b for a, b in zip(cost, row)]
         self.cost = cost
 
     def pivot(self, r: int, j: int) -> None:
-        piv = self.rows[r][j]
-        if piv != 1:
-            inv = Fraction(1) / piv
-            self.rows[r] = [c * inv for c in self.rows[r]]
+        p = self.rows[r][j]
+        if p < 0:
+            self.rows = [[-a for a in row] for row in self.rows]
+            self.cost = [-a for a in self.cost]
+            self.det = -self.det
+            p = -p
+        det = self.det
         prow = self.rows[r]
+        support = list(compress(enumerate(prow), prow))
         self.rows = [
-            prow if i == r else _eliminate(row, prow, j)
+            prow if i == r else _eliminate(row, prow, support, j, p, det)
             for i, row in enumerate(self.rows)
         ]
-        self.cost = _eliminate(self.cost, prow, j)
+        self.cost = _eliminate(self.cost, prow, support, j, p, det)
         self.basis[r] = j
+        self.det = p
 
     def minimize(self, enterable: int) -> str:
         """Run Bland's rule to optimality over columns [0, enterable).
 
         Entering: lowest-index column with negative reduced cost.  Leaving:
-        minimum ratio, ties broken by lowest basic-variable index.
+        minimum ratio, ties broken by lowest basic-variable index.  The
+        ratios b/a are compared by cross-multiplying, as a > 0.
         """
+        basis = self.basis
         while True:
-            enter = next((j for j in range(enterable) if self.cost[j] < 0), -1)
+            cost = self.cost
+            enter = next((j for j in range(enterable) if cost[j] < 0), -1)
             if enter < 0:
                 return "optimal"
-            best_key = None
             best_row = -1
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    key = (Fraction(row[-1]) / a, self.basis[i])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_row = i
+                    b = row[-1]
+                    if best_row >= 0:
+                        gap = b * best_a - best_b * a
+                        if gap > 0 or (gap == 0 and basis[i] > basis[best_row]):
+                            continue
+                    best_row, best_a, best_b = i, a, b
             if best_row < 0:
                 return "unbounded"
             self.pivot(best_row, enter)
 
 
+_is_int = int.__instancecheck__  # isinstance(x, int), mapped without a lambda
+
+
 def _audit(problem: LPProblem, point) -> None:
+    support = [(j, x) for j, x in enumerate(point) if x]
     for con in problem.constraints:
-        if sum(c * x for c, x in zip(con.coeffs, point)) != con.rhs:
+        coeffs = con.coeffs
+        if sum(coeffs[j] * x for j, x in support) != con.rhs:
             raise PolyfaceError("simplex returned a point violating an equality")
-    if any(x < 0 for x in point):
+    if any(x < 0 for _, x in support):
         raise PolyfaceError("simplex returned a negative coordinate")
 
 
@@ -173,6 +216,8 @@ def lp_feasible(problem: LPProblem) -> LPResult:
     Without an objective, stops after phase one and reports feasibility with
     an exact witness point.  With an objective, continues to optimality,
     reporting the duals with the optimum and unboundedness distinctly.
+    Constraint coefficients and objective entries must be ``int``s, or
+    InvalidParameterError is raised; right-hand sides may be any rationals.
     An inequality enters as an equality with its own slack column: maximise
     3x + 2y subject to x + y <= 4 and x <= 2.
 
@@ -194,14 +239,25 @@ def lp_feasible(problem: LPProblem) -> LPResult:
             raise DimensionMismatchError(
                 f"constraint of width {len(con.coeffs)} in a {nvars}-variable program"
             )
-    if problem.objective is not None and len(problem.objective) != nvars:
-        raise DimensionMismatchError("objective width does not match variable count")
+        if not all(map(_is_int, con.coeffs)):
+            raise InvalidParameterError("constraint coefficients must be integers")
+    if problem.objective is not None:
+        if len(problem.objective) != nvars:
+            raise DimensionMismatchError("objective width does not match variable count")
+        if not all(map(_is_int, problem.objective)):
+            raise InvalidParameterError("objective entries must be integers")
 
-    nrows = len(problem.constraints)
+    # Only the right-hand sides are scaled to integers, by the lcm of their
+    # denominators; the point divides it back out.
+    rhs = [Fraction(con.rhs) for con in problem.constraints]
+    scale = lcm(*(b.denominator for b in rhs))
+    nrows = len(rhs)
     rows = []
-    for r, con in enumerate(problem.constraints):
-        row = list(con.coeffs) if con.rhs >= 0 else [-a for a in con.coeffs]
-        rows.append(row + [int(i == r) for i in range(nrows)] + [abs(con.rhs)])
+    for r, (con, b) in enumerate(zip(problem.constraints, rhs)):
+        row = list(con.coeffs) if b >= 0 else [-a for a in con.coeffs]
+        row += [int(i == r) for i in range(nrows)]
+        row.append(abs(b.numerator) * (scale // b.denominator))
+        rows.append(row)
     # Phase one: minimize the sum of the artificials.
     tab = _Tableau(rows, list(range(nvars, nvars + nrows)), [0] * nvars + [1] * nrows)
     if tab.minimize(nvars) != "optimal":  # phase one is bounded below by zero
@@ -222,8 +278,9 @@ def lp_feasible(problem: LPProblem) -> LPResult:
 
     def extract() -> tuple[Fraction, ...]:
         point = [Fraction(0)] * nvars
+        denominator = tab.det * scale
         for row, j in zip(tab.rows, tab.basis):
-            point[j] = Fraction(row[-1])
+            point[j] = Fraction(row[-1], denominator)
         _audit(problem, point)
         return tuple(point)
 
@@ -236,22 +293,19 @@ def lp_feasible(problem: LPProblem) -> LPResult:
         return LPResult("unbounded")
     point = extract()
     value = sum(
-        (c * x for c, x in zip(problem.objective, point)), start=Fraction(0)
+        (problem.objective[j] * x for j, x in enumerate(point) if x), start=Fraction(0)
     )
     duals = tuple(
-        Fraction(-d if con.rhs < 0 else d)
-        for d, con in zip(tab.cost[nvars:-1], problem.constraints)
+        Fraction(-d if b < 0 else d, tab.det) for d, b in zip(tab.cost[nvars:-1], rhs)
     )
     return LPResult("optimal", point, value, duals)
 
 
-def _hull(p: RationalPoint, vset: VertexSet, objective=None) -> LPResult:
-    """Convex weights on the words of ``vset`` combining to ``p``; any
+def _hull(p: RationalPoint, dim: int, words, objective=None) -> LPResult:
+    """Convex weights on the ``dim``-bit ``words`` combining to ``p``; any
     ``objective`` is maximised."""
-    dim = vset.layout.dim
     if p.dim != dim:
         raise DimensionMismatchError(f"point of dim {p.dim} against vertex set of dim {dim}")
-    words = vset.words
     constraints = [
         LPConstraint(tuple((w >> (dim - 1 - d)) & 1 for w in words), p.coords[d])
         for d in range(dim)
@@ -262,7 +316,7 @@ def _hull(p: RationalPoint, vset: VertexSet, objective=None) -> LPResult:
 
 def conv_membership(p: RationalPoint, v: VertexSet) -> bool:
     """True iff ``p`` is a convex combination of the vertices of ``v``."""
-    return _hull(p, v).status == "feasible"
+    return _hull(p, v.layout.dim, v.words).status == "feasible"
 
 
 def adjacent(u: Vertex01, v: Vertex01, vset: VertexSet) -> bool:
@@ -272,10 +326,9 @@ def adjacent(u: Vertex01, v: Vertex01, vset: VertexSet) -> bool:
         raise InvalidParameterError("adjacency needs two distinct vertices")
     if u not in vset or v not in vset:
         raise InvalidVertexError("both vertices must belong to the set")
-    rest = vset.restrict_to_words(
-        w for w in vset.words if w != u.word and w != v.word
-    )
-    return not conv_membership(RationalPoint.midpoint(u, v), rest)
+    rest = [w for w in vset.words if w != u.word and w != v.word]
+    midpoint = RationalPoint.midpoint(u, v)
+    return _hull(midpoint, vset.layout.dim, rest).status != "feasible"
 
 
 def is_face_subset(
@@ -311,7 +364,7 @@ def is_face_subset(
     counts = (sum((w >> (dim - 1 - d)) & 1 for w in want) for d in range(dim))
     barycenter = RationalPoint(tuple(Fraction(c, len(want)) for c in counts))
     objective = tuple(int(w not in want) for w in vset.words)
-    result = _hull(barycenter, vset, objective)
+    result = _hull(barycenter, dim, vset.words, objective)
     if result.objective_value:
         return False, None
     scale = lcm(*(u.denominator for u in result.duals))

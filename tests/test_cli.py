@@ -218,6 +218,39 @@ class TestGeometryCommand:
         assert code == 1
         assert "not found" in stderr
 
+    @pytest.mark.parametrize(
+        "text, u, message",
+        [
+            # a one-vertex dim-1 set: bit string 0 is no vertex, index 0 is 1
+            ("layout lop 2\n1\n", "0",
+             "bit string 0 is not in the set, index 0 is vertex 1"),
+            # a dim-2 subset: bit string 01 is no vertex, index 1 is 10
+            ("layout stable 2\n00\n10\n11\n", "01",
+             "bit string 01 is not in the set, index 1 is vertex 10"),
+            # both readings name vertices, different ones
+            ("layout stable 2\n01\n10\n11\n", "01",
+             "bit string 01 is a vertex, index 1 is vertex 10"),
+        ],
+    )
+    def test_ambiguous_selector(self, capsys, tmp_path, text, u, message):
+        path = tmp_path / "set.vs"
+        path.write_text(text)
+        code, _, stderr = run(
+            capsys, "geometry", "adjacent", "--set", str(path), "--u", u, "--v", "00",
+        )
+        assert code == 1
+        assert f"ambiguous vertex selector '{u}'" in stderr
+        assert message in stderr
+
+    def test_selector_readings_that_agree(self, capsys, tmp_path):
+        path = tmp_path / "lop2.vs"
+        path.write_text(lop_vertices(2).to_text())
+        code, stdout, _ = run(
+            capsys, "geometry", "adjacent", "--set", str(path), "--u", "0", "--v", "1",
+        )
+        assert code == 0
+        assert "PASS adjacent" in stdout
+
     def test_face_check_with_certificate(self, capsys, lop3_file):
         code, stdout, _ = run(
             capsys, "geometry", "face", "--set", lop3_file,

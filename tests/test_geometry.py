@@ -210,6 +210,28 @@ class TestLpFeasible:
         with pytest.raises(DimensionMismatchError):
             lp_feasible(LPProblem(2, (LPConstraint((1,), 0),)))
 
+    def test_rational_rhs_with_mixed_denominators(self):
+        problem = LPProblem(
+            2,
+            (
+                LPConstraint((2, 0), Fraction(1, 2)),
+                LPConstraint((0, -3), Fraction(-2, 3)),
+            ),
+        )
+        result = lp_feasible(problem)
+        assert result.status == "feasible"
+        assert result.point == (Fraction(1, 4), Fraction(2, 9))
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(1), 1.0, "1"])
+    def test_non_integer_coefficient_is_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="coefficients"):
+            lp_feasible(LPProblem(2, (LPConstraint((1, value), 1),)))
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(1), 1.0, "1"])
+    def test_non_integer_objective_is_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="objective"):
+            lp_feasible(LPProblem(2, (LPConstraint((1, 1), 1),), objective=(1, value)))
+
     @settings(deadline=None, max_examples=50)
     @given(st.data())
     def test_feasible_points_are_exact(self, data):

@@ -12,17 +12,26 @@ random programs may have inequalities, free variables or a minimum;
 
 Face verdicts and face certificates have separate pins: the verdicts are a
 fact about the polytopes, the certificates one dual solution among many.
+
+The solver pivots in integers over one shared denominator.  The ``Fraction``
+simplex it replaced is kept below as an oracle: the same columns and the
+same Bland's rule, every pivot row divided out in ``Fraction``.  Both must
+return the same status, point, objective value and duals on the random
+programs and on the hull programs of the geometry predicates.
 """
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
+import polyface.geometry
 from polyface import (
     LPConstraint,
     LPProblem,
+    LPResult,
     adjacent,
     bqp_vertices,
     is_face_subset,
@@ -191,3 +200,138 @@ def adjacency_verdicts():
 
 def test_adjacency_verdicts_are_pinned():
     assert digest(adjacency_verdicts()) == ADJACENCY
+
+
+def fraction_eliminate(row: list, prow: list, j: int) -> list:
+    """``row`` minus the multiple of ``prow`` (whose column ``j`` is 1) that
+    clears its column ``j``."""
+    f = row[j]
+    return [a - f * b for a, b in zip(row, prow)] if f else row
+
+
+class FractionTableau:
+    """The dense ``Fraction`` tableau, in the layout of the integer one but
+    with each pivot row divided by its pivot.  Adds its pivots to
+    ``counts``."""
+
+    def __init__(self, rows, basis, costs, counts: Counter):
+        self.rows = rows
+        self.basis = basis
+        self.counts = counts
+        self.price(costs)
+
+    def price(self, costs) -> None:
+        cost = [*costs, 0]
+        for row, j in zip(self.rows, self.basis):
+            cost = fraction_eliminate(cost, row, j)
+        self.cost = cost
+
+    def pivot(self, r: int, j: int) -> None:
+        self.counts["pivots"] += 1
+        piv = self.rows[r][j]
+        if piv != 1:
+            inv = Fraction(1) / piv
+            self.rows[r] = [c * inv for c in self.rows[r]]
+        prow = self.rows[r]
+        self.rows = [
+            prow if i == r else fraction_eliminate(row, prow, j)
+            for i, row in enumerate(self.rows)
+        ]
+        self.cost = fraction_eliminate(self.cost, prow, j)
+        self.basis[r] = j
+
+    def minimize(self, enterable: int) -> str:
+        while True:
+            enter = next((j for j in range(enterable) if self.cost[j] < 0), -1)
+            if enter < 0:
+                return "optimal"
+            best_key = None
+            best_row = -1
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    key = (Fraction(row[-1]) / a, self.basis[i])
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_row = i
+            if best_row < 0:
+                return "unbounded"
+            self.pivot(best_row, enter)
+
+
+def fraction_lp(problem: LPProblem, counts: Counter) -> LPResult:
+    """The two-phase ``Fraction`` simplex.  Adds its pivots and the negative
+    pivots of its drive-out loop to ``counts``."""
+    nvars = problem.variables
+    nrows = len(problem.constraints)
+    rows = []
+    for r, con in enumerate(problem.constraints):
+        row = list(con.coeffs) if con.rhs >= 0 else [-a for a in con.coeffs]
+        rows.append(row + [int(i == r) for i in range(nrows)] + [abs(con.rhs)])
+    costs = [0] * nvars + [1] * nrows
+    tab = FractionTableau(rows, list(range(nvars, nvars + nrows)), costs, counts)
+    assert tab.minimize(nvars) == "optimal"
+    if tab.cost[-1] != 0:
+        return LPResult("infeasible")
+    r = 0
+    while r < len(tab.rows):
+        if tab.basis[r] >= nvars:
+            enter = next((j for j in range(nvars) if tab.rows[r][j] != 0), None)
+            if enter is None:
+                del tab.rows[r], tab.basis[r]
+                continue
+            counts["negative drive-out pivots"] += tab.rows[r][enter] < 0
+            tab.pivot(r, enter)
+        r += 1
+
+    def extract() -> tuple:
+        point = [Fraction(0)] * nvars
+        for row, j in zip(tab.rows, tab.basis):
+            point[j] = Fraction(row[-1])
+        return tuple(point)
+
+    if problem.objective is None:
+        return LPResult("feasible", extract())
+    tab.price([-c for c in problem.objective] + [0] * nrows)
+    if tab.minimize(nvars) == "unbounded":
+        return LPResult("unbounded")
+    point = extract()
+    value = sum((c * x for c, x in zip(problem.objective, point)), start=Fraction(0))
+    duals = tuple(
+        Fraction(-d if con.rhs < 0 else d)
+        for d, con in zip(tab.cost[nvars:-1], problem.constraints)
+    )
+    return LPResult("optimal", point, value, duals)
+
+
+def test_fraction_oracle_agrees_on_random_programs():
+    counts = Counter()
+    for _, problem, result in random_lps():
+        assert repr(fraction_lp(problem, counts)) == repr(result)
+    # The drive-out loop is the one place a pivot can be negative, and the
+    # integer tableau negates itself there; make sure that path is exercised.
+    assert counts["negative drive-out pivots"] >= 40
+    assert counts["pivots"] >= 2000
+
+
+def test_fraction_oracle_agrees_on_hull_programs(monkeypatch):
+    """Every program that ``adjacent`` and ``is_face_subset`` pose on the
+    pinned hosts: all pairs of lop(4) and bqp(3), 30 seeded pairs of
+    lop(5), and the 1-3 subsets of bqp(3) and lop(3)."""
+    solved = []
+    solve = polyface.geometry.lp_feasible
+
+    def recording(problem):
+        result = solve(problem)
+        solved.append((problem, result))
+        return result
+
+    monkeypatch.setattr(polyface.geometry, "lp_feasible", recording)
+    for _ in adjacency_verdicts():
+        pass
+    for subset, vs in face_subsets():
+        is_face_subset(subset, vs)
+    assert len(solved) == 276 + 28 + 30 + (8 + 28 + 56) + (6 + 15 + 20) + 3
+    counts = Counter()
+    for problem, result in solved:
+        assert repr(fraction_lp(problem, counts)) == repr(result)
