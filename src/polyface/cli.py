@@ -86,7 +86,7 @@ def cmd_generate(args) -> int:
 
 def cmd_face(args) -> int:
     vs = _read_vertex_set(args.set)
-    system = FaceSystem.parse(Path(args.system).read_text(), provenance=args.system)
+    system = FaceSystem.parse(Path(args.system).read_text())
     extraction = extract_face(vs, system)
     report = Report("face", {"set": args.set, "system": args.system})
     for idx, check in enumerate(extraction.checks):

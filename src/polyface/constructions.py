@@ -32,6 +32,7 @@ from .core import (
     pair_index,
     perm_to_lop_vertex,
     pairs,
+    sequence_to_perm,
     triples,
     word_to_string,
 )
@@ -256,7 +257,7 @@ def theorem1_system(n: int) -> FaceSystem:
         forms.append(_form(layout, {_y(ei, oj): 1}))
         forms.append(_form(layout, {_y(oi, ei): 1, _y(ei, ej): 1, _y(oi, ej): -1}))
         forms.append(_form(layout, {_y(oi, oj): 1, _y(oj, ej): 1, _y(oi, ej): -1}))
-    return FaceSystem(layout, tuple(forms), provenance=f"theorem1(n={n})")
+    return FaceSystem(layout, tuple(forms))
 
 
 def theorem1_project(n: int) -> AffineMapQ:
@@ -295,29 +296,27 @@ def _validate_bqp_vertex(x: Vertex01, n: int) -> list[int]:
     return diag
 
 
+def _zeros_ones(bits) -> tuple[list[int], list[int]]:
+    """Z and O: the 1-based indices where ``bits`` is 0 and where it is 1,
+    each in descending order."""
+    indices = range(len(bits), 0, -1)
+    return [i for i in indices if not bits[i - 1]], [i for i in indices if bits[i - 1]]
+
+
 def theorem1_lift(x: Vertex01) -> Permutation:
     """Permutation of [2n] whose order vector lies on the quadric face and
-    projects back onto the quadric vertex ``x``.
+    projects back onto the quadric vertex ``x``: with Z and O the diagonal
+    indices at 0 and at 1, each descending, the sequence
 
-    With k indices carrying diagonal 0 (taken in descending order) and the
-    rest carrying 1 (descending as well), positions are assigned as
+      [2i-1 for i in O] + [2i, 2i-1 for i in Z] + [2i for i in O]
 
-      pos(2i_s - 1) = n - k + 2s,  pos(2i_s) = n - k + 2s - 1   (diagonal 0)
-      pos(2i'_t - 1) = t,          pos(2i'_t) = n + k + t       (diagonal 1)
+    >>> theorem1_lift(Vertex01.from_string("101010")).sequence_str()  # Z = [2], O = [3, 1]
+    '514362'
     """
     n = _bqp_n_from_dim(x.dim)
-    diag = _validate_bqp_vertex(x, n)
-    zeros_desc = [i for i in range(n, 0, -1) if diag[i - 1] == 0]
-    ones_desc = [i for i in range(n, 0, -1) if diag[i - 1] == 1]
-    k = len(zeros_desc)
-    pos = [0] * (2 * n + 1)
-    for s, i in enumerate(zeros_desc, start=1):
-        pos[2 * i - 1] = n - k + 2 * s
-        pos[2 * i] = n - k + 2 * s - 1
-    for t, i in enumerate(ones_desc, start=1):
-        pos[2 * i - 1] = t
-        pos[2 * i] = n + k + t
-    return Permutation(tuple(pos[1:]))
+    zeros, ones = _zeros_ones(_validate_bqp_vertex(x, n))
+    middle = [e for i in zeros for e in (2 * i, 2 * i - 1)]
+    return sequence_to_perm([2 * i - 1 for i in ones] + middle + [2 * i for i in ones])
 
 
 def _sequence_or_bits(v: Vertex01, m: int) -> str:
@@ -396,21 +395,16 @@ def theorem1_verify(
         witness="face and lift image differ as sets",
     )
 
-    diagonals = [x.to_string()[:n] for x, _ in lifts]
+    splits = [_zeros_ones(x.bits[:n]) for x, _ in lifts]
     report.details = {
         "n": n,
         "lop_size": len(lop),
         "face_size": len(face),
         "face_sequences": [_sequence_or_bits(v, m) for v in face],
         "lifts": [
-            {
-                "diagonal": diag,
-                "k": diag.count("0"),
-                "zeros_desc": [i for i in range(n, 0, -1) if diag[i - 1] == "0"],
-                "ones_desc": [i for i in range(n, 0, -1) if diag[i - 1] == "1"],
-                "sequence": perm.sequence_str(),
-            }
-            for diag, (_, perm) in zip(diagonals, lifts)
+            {"diagonal": x.to_string()[:n], "k": len(zeros), "zeros_desc": zeros,
+             "ones_desc": ones, "sequence": perm.sequence_str()}
+            for (x, perm), (zeros, ones) in zip(lifts, splits)
         ],
     }
     return report
@@ -431,8 +425,7 @@ def lemma1_system(g: Graph) -> FaceSystem:
         for i, j in g.sorted_edges()
         for a, b in ((i, n + j), (j, n + i))
     ]
-    edges = ",".join(f"{i}{j}" for i, j in g.sorted_edges())
-    return FaceSystem(layout, tuple(forms), provenance=f"lemma1(n={n};edges={edges})")
+    return FaceSystem(layout, tuple(forms))
 
 
 def lemma1_project(n: int) -> AffineMapQ:
@@ -446,12 +439,14 @@ def lemma1_project(n: int) -> AffineMapQ:
 
 def lemma1_lift(x: Vertex01, g: Graph) -> Permutation:
     """Permutation of [2n] whose order vector lies on the graph's face and
-    projects onto the stable-set vertex ``x``.
+    projects onto the stable-set vertex ``x``: with Z and O the indices at 0
+    and at 1, each descending, the sequence
 
-    With k indices at 0 and n - k at 1, both taken in descending order:
+      [n+i for i in Z] + O + [n+i for i in O] + Z
 
-      pos(i_s) = 2n - k + s,  pos(n + i_s) = s        (coordinate 0)
-      pos(i'_t) = k + t,      pos(n + i'_t) = n + t   (coordinate 1)
+    >>> path = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    >>> lemma1_lift(Vertex01.from_string("1001"), path).sequence_str()  # Z = [3, 2], O = [4, 1]
+    '76418532'
     """
     n = g.n
     if x.dim != n:
@@ -461,17 +456,8 @@ def lemma1_lift(x: Vertex01, g: Graph) -> Permutation:
     for i, j in g.sorted_edges():
         if x.bit(i - 1) and x.bit(j - 1):
             raise InvalidVertexError(f"{x} is not stable: edge ({i},{j}) fully set")
-    zeros_desc = [i for i in range(n, 0, -1) if x.bit(i - 1) == 0]
-    ones_desc = [i for i in range(n, 0, -1) if x.bit(i - 1) == 1]
-    k = len(zeros_desc)
-    pos = [0] * (2 * n + 1)
-    for s, i in enumerate(zeros_desc, start=1):
-        pos[i] = 2 * n - k + s
-        pos[n + i] = s
-    for t, i in enumerate(ones_desc, start=1):
-        pos[i] = k + t
-        pos[n + i] = n + t
-    return Permutation(tuple(pos[1:]))
+    zeros, ones = _zeros_ones(x.bits)
+    return sequence_to_perm([n + i for i in zeros] + ones + [n + i for i in ones] + zeros)
 
 
 def lemma1_verify(
@@ -567,7 +553,7 @@ def dcp_embedding(m: int) -> DcpEmbedding:
 def dcp_face_system(emb: DcpEmbedding) -> FaceSystem:
     """The z = 0, h = 1 equalities over the embedding's column layout."""
     forms = [_form(emb.layout, {label: 1}, "=", value) for label, value in emb.fixed.items()]
-    return FaceSystem(emb.layout, tuple(forms), provenance=f"dcp-face(m={emb.m})")
+    return FaceSystem(emb.layout, tuple(forms))
 
 
 def dcp_verify(
@@ -597,9 +583,9 @@ def dcp_verify(
         witness="some row does not have four distinct columns",
     )
 
+    lop = lop_vertices(m, max_perms=max_perms)
     dcp_set = dcp_vertices(emb.matrix, max_cols=max_cols, layout=emb.layout)
     face = extract_face(dcp_set, dcp_face_system(emb)).face
-    lop = lop_vertices(m, max_perms=max_perms)
 
     projected = {word >> (ncols - len(pairs(m))) for word in face.words}
     report.check(

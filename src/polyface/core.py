@@ -57,19 +57,6 @@ def triples(m: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(1, m + 1), 3))
 
 
-def bqp_coord_index(i: int, j: int, n: int) -> int:
-    """Index of coordinate (i, j) in the quadric layout: diagonal block first.
-
-    Diagonal coordinates (i, i) occupy indices 0..n-1; the off-diagonal pair
-    (i, j), i < j, follows at n + pair_index(i, j, n).
-    """
-    if i == j:
-        if not 1 <= i <= n:
-            raise InvalidPairError(f"diagonal index out of range: (i={i}, n={n})")
-        return i - 1
-    return n + pair_index(i, j, n)
-
-
 class CoordLayout:
     """A named coordinate space: kind, size parameter, and ordered labels.
 
@@ -202,9 +189,11 @@ class CoordLayout:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CoordLayout":
         try:
-            kind, param, labels = obj["kind"], int(obj["param"]), obj.get("labels")
-        except (KeyError, TypeError, ValueError) as exc:
+            kind, param, labels = obj["kind"], obj["param"], obj.get("labels")
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad layout object: {obj!r}") from exc
+        if not isinstance(param, int) or isinstance(param, bool):
+            raise ParseError(f"layout param must be an integer: {param!r}")
         if labels is not None and not isinstance(labels, list):
             raise ParseError(f"layout labels must be a list: {labels!r}")
         layout = cls(kind, param, labels)
@@ -438,11 +427,6 @@ class Permutation:
     def m(self) -> int:
         return len(self.pi)
 
-    def position(self, element: int) -> int:
-        if not 1 <= element <= self.m:
-            raise InvalidPermutationError(f"element {element} out of range [1, {self.m}]")
-        return self.pi[element - 1]
-
     def sequence(self) -> tuple[int, ...]:
         """Elements in position order (the inverse permutation)."""
         seq = [0] * self.m
@@ -455,10 +439,6 @@ class Permutation:
         if self.m <= 9:
             return "".join(str(e) for e in seq)
         return " ".join(str(e) for e in seq)
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(1, m + 1)))
 
 
 def sequence_to_perm(s: str | Sequence[int]) -> Permutation:
@@ -533,7 +513,8 @@ def lop_vertex_to_perm(v: Vertex01, m: int) -> Permutation:
 
     In a transitive tournament, element positions are determined by the
     number of elements each one precedes.  The result is validated by a
-    round trip; a word that is not a linear order raises InvalidVertexError.
+    round trip: the word of any position vector is a linear order, so a
+    word that is not one fails it and raises InvalidVertexError.
     """
     if v.dim != m * (m - 1) // 2:
         raise DimensionMismatchError(
@@ -547,8 +528,6 @@ def lop_vertex_to_perm(v: Vertex01, m: int) -> Permutation:
         else:
             precedes[j] += 1
     positions = tuple(m - precedes[e] for e in range(1, m + 1))
-    if sorted(positions) != list(range(1, m + 1)):
-        raise InvalidVertexError(f"{v} is not the vector of a linear order")
     if lop_word_from_positions(positions, table) != v.word:
         raise InvalidVertexError(f"{v} is not the vector of a linear order")
     return Permutation(positions)
@@ -611,9 +590,6 @@ class LinearForm:
         if self.relation == ">=":
             return value >= self.rhs
         return value == self.rhs
-
-    def satisfied_by(self, v: Vertex01) -> bool:
-        return self.holds(self.evaluate(v))
 
     def relaxed(self, relation: str) -> "LinearForm":
         return LinearForm(self.coeffs, relation, self.rhs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CoordLayout, LinearForm, Vertex01, VertexSet, pair_index
+from .core import CoordLayout, LinearForm, Vertex01, VertexSet, pair_index, triples
 from .errors import DimensionMismatchError, NotSupportingError, ParseError
 
 
@@ -29,16 +29,14 @@ def three_cycle_forms(m: int) -> list[LinearForm]:
     """
     dim = m * (m - 1) // 2
     forms: list[LinearForm] = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in range(j + 1, m + 1):
-                coeffs = [0] * dim
-                coeffs[pair_index(i, j, m)] = 1
-                coeffs[pair_index(j, k, m)] = 1
-                coeffs[pair_index(i, k, m)] = -1
-                coeffs = tuple(coeffs)
-                forms.append(LinearForm(coeffs, ">=", 0))
-                forms.append(LinearForm(coeffs, "<=", 1))
+    for i, j, k in triples(m):
+        coeffs = [0] * dim
+        coeffs[pair_index(i, j, m)] = 1
+        coeffs[pair_index(j, k, m)] = 1
+        coeffs[pair_index(i, k, m)] = -1
+        coeffs = tuple(coeffs)
+        forms.append(LinearForm(coeffs, ">=", 0))
+        forms.append(LinearForm(coeffs, "<=", 1))
     return forms
 
 
@@ -88,7 +86,6 @@ class FaceSystem:
 
     layout: CoordLayout
     equalities: tuple[LinearForm, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         for form in self.equalities:
@@ -108,13 +105,13 @@ class FaceSystem:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def parse(cls, text: str, provenance: str = "") -> "FaceSystem":
+    def parse(cls, text: str) -> "FaceSystem":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty face-system file")
         layout, body = CoordLayout.split_header(lines)
         forms = tuple(LinearForm.parse(ln) for ln in body)
-        return cls(layout, forms, provenance)
+        return cls(layout, forms)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Every generator returns a canonical VertexSet (deduplicated, lexicographically
 sorted), so outputs are reproducible byte for byte.  Enumeration budgets are
-plain keyword arguments with package-wide defaults, not hard-coded limits.
+plain keyword arguments with package-wide defaults.  The two brute-force
+oracles, kept to cross-check the enumerators, have fixed caps instead: the
+module constants ``DEFAULT_ORACLE_MAX_M`` and ``DEFAULT_MAX_NAIVE_DCP_COLS``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from operator import or_
 
 from .core import CoordLayout, VertexSet, pair_index, pairs
 from .errors import CapacityError, InvalidParameterError, ParseError
+from .faces import three_cycle_forms
 
 #: Largest number of linear orders enumerated by default (8 elements).
 DEFAULT_MAX_PERMS = 40320
@@ -215,7 +218,7 @@ def _insert_below(
         _insert_below(seq[:p] + (e,) + seq[p:], word | suffix, e - 1, pair_bits, words)
 
 
-def lop_vertices_oracle(m: int, max_m: int = DEFAULT_ORACLE_MAX_M) -> VertexSet:
+def lop_vertices_oracle(m: int) -> VertexSet:
     """Brute-force route to the same set: filter {0,1}^C(m,2) by the
     three-cycle inequalities 0 <= y_ij + y_jk - y_ik <= 1.
 
@@ -224,30 +227,15 @@ def lop_vertices_oracle(m: int, max_m: int = DEFAULT_ORACLE_MAX_M) -> VertexSet:
     """
     if m < 1:
         raise InvalidParameterError(f"need m >= 1, got {m}")
-    if m > max_m:
+    if m > DEFAULT_ORACLE_MAX_M:
         raise CapacityError(
-            f"oracle over 2^C({m},2) candidates exceeds the cap m <= {max_m}"
+            f"oracle over 2^C({m},2) candidates exceeds the cap m <= {DEFAULT_ORACLE_MAX_M}"
         )
     layout = CoordLayout.lop(m)
-    dim = layout.dim
-    checks = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for k in range(j + 1, m + 1):
-                bij = 1 << (dim - 1 - pair_index(i, j, m))
-                bjk = 1 << (dim - 1 - pair_index(j, k, m))
-                bik = 1 << (dim - 1 - pair_index(i, k, m))
-                checks.append((bij, bjk, bik))
-    words = []
-    for w in range(1 << dim):
-        ok = True
-        for bij, bjk, bik in checks:
-            val = ((w & bij) != 0) + ((w & bjk) != 0) - ((w & bik) != 0)
-            if val < 0 or val > 1:
-                ok = False
-                break
-        if ok:
-            words.append(w)
+    forms = three_cycle_forms(m)
+    words = [
+        w for w in range(1 << layout.dim) if all(f.holds(f.evaluate_word(w)) for f in forms)
+    ]
     return VertexSet.from_words(layout, words)
 
 
@@ -338,13 +326,13 @@ def dcp_vertices(
     return VertexSet.from_words(layout, words)
 
 
-def dcp_vertices_naive(
-    b: FourOnesMatrix, max_cols: int = DEFAULT_MAX_NAIVE_DCP_COLS
-) -> VertexSet:
+def dcp_vertices_naive(b: FourOnesMatrix) -> VertexSet:
     """Cross-check route: filter all 2^n vectors by the row sums directly."""
     n = b.n
-    if n > max_cols:
-        raise CapacityError(f"{n} columns exceed the naive filter cap of {max_cols}")
+    if n > DEFAULT_MAX_NAIVE_DCP_COLS:
+        raise CapacityError(
+            f"{n} columns exceed the naive filter cap of {DEFAULT_MAX_NAIVE_DCP_COLS}"
+        )
     row_masks = [
         sum(1 << (n - c) for c in row) for row in b.rows
     ]

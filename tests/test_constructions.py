@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from polyface import (
     Graph,
     InvalidParameterError,
     InvalidVertexError,
+    Permutation,
     Report,
     Vertex01,
     VertexSet,
@@ -135,8 +137,8 @@ class TestTheorem1Lift:
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=16))
     def test_positions_partition_even_range(self, diag):
-        # Permutation construction validates that the four position formulas
-        # hit every slot of [2n] exactly once.
+        # sequence_to_perm validates that the lift's sequence lists every
+        # element of [2n] exactly once.
         perm = theorem1_lift(bqp_vertex_from_diagonal(tuple(diag)))
         assert perm.m == 2 * len(diag)
 
@@ -261,6 +263,58 @@ class TestLemma1Lift:
         assert perm.m == 2 * len(bits)
 
 
+def theorem1_lift_by_positions(x: Vertex01) -> Permutation:
+    """The Theorem-1 lift by position arithmetic: with k diagonal zeros i_s
+    and ones i'_t, each descending, pos(2i_s - 1) = n - k + 2s,
+    pos(2i_s) = n - k + 2s - 1, pos(2i'_t - 1) = t, pos(2i'_t) = n + k + t."""
+    n = (isqrt(8 * x.dim + 1) - 1) // 2
+    diag = x.bits[:n]
+    zeros_desc = [i for i in range(n, 0, -1) if diag[i - 1] == 0]
+    ones_desc = [i for i in range(n, 0, -1) if diag[i - 1] == 1]
+    k = len(zeros_desc)
+    pos = [0] * (2 * n + 1)
+    for s, i in enumerate(zeros_desc, start=1):
+        pos[2 * i - 1] = n - k + 2 * s
+        pos[2 * i] = n - k + 2 * s - 1
+    for t, i in enumerate(ones_desc, start=1):
+        pos[2 * i - 1] = t
+        pos[2 * i] = n + k + t
+    return Permutation(tuple(pos[1:]))
+
+
+def lemma1_lift_by_positions(x: Vertex01) -> Permutation:
+    """The Lemma-1 lift by position arithmetic: with k zeros i_s and ones
+    i'_t, each descending, pos(i_s) = 2n - k + s, pos(n + i_s) = s,
+    pos(i'_t) = k + t, pos(n + i'_t) = n + t."""
+    n = x.dim
+    zeros_desc = [i for i in range(n, 0, -1) if x.bit(i - 1) == 0]
+    ones_desc = [i for i in range(n, 0, -1) if x.bit(i - 1) == 1]
+    k = len(zeros_desc)
+    pos = [0] * (2 * n + 1)
+    for s, i in enumerate(zeros_desc, start=1):
+        pos[i] = 2 * n - k + s
+        pos[n + i] = s
+    for t, i in enumerate(ones_desc, start=1):
+        pos[i] = k + t
+        pos[n + i] = n + t
+    return Permutation(tuple(pos[1:]))
+
+
+class TestLiftsMatchPositionFormulas:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_theorem1_every_bqp_vertex(self, n):
+        for x in bqp_vertices(n):
+            assert theorem1_lift(x) == theorem1_lift_by_positions(x), x
+
+    @pytest.mark.parametrize("g", [Graph.empty(n) for n in range(1, 9)] + [
+        Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)]),
+        Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
+    ], ids=[f"empty{n}" for n in range(1, 9)] + ["C4", "C5"])
+    def test_lemma1_every_stable_vertex(self, g):
+        for x in stable_vertices(g):
+            assert lemma1_lift(x, g) == lemma1_lift_by_positions(x), x
+
+
 class TestLemma1Verify:
     def test_k2(self):
         g = Graph.from_edges(2, [(1, 2)])
@@ -337,6 +391,14 @@ class TestDcpVerify:
         assert report.all_passed
         assert report.details["dcp_size"] == 48
         assert report.details["face_size"] == 24
+
+    def test_order_budget_fails_before_the_dcp_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("dcp_vertices ran before the order budget was checked")
+
+        monkeypatch.setattr(constructions, "dcp_vertices", no_search)
+        with pytest.raises(CapacityError):
+            dcp_verify(9, max_cols=200)
 
     def test_m5_needs_budget(self):
         with pytest.raises(CapacityError):

@@ -159,6 +159,12 @@ class TestVertexSet:
         with pytest.raises(ParseError, match="vertex of length 2"):
             VertexSet.from_json('{"layout": {"kind": "lop", "param": 3}, "vertices": ["01"]}')
 
+    @pytest.mark.parametrize("param", ["3.7", "true", '"3"'])
+    def test_json_layout_param_must_be_an_integer(self, param):
+        text = '{"layout": {"kind": "lop", "param": %s}, "vertices": []}' % param
+        with pytest.raises(ParseError, match="layout param must be an integer"):
+            VertexSet.from_json(text)
+
     @pytest.mark.parametrize("vertices", ['"0101"', '[1, 0]', '{"0": 1}', "null"])
     def test_json_vertices_must_be_a_list_of_strings(self, vertices):
         text = '{"layout": {"kind": "stable", "param": 1}, "vertices": %s}' % vertices
@@ -215,11 +221,11 @@ class TestCustomLabels:
 class TestPermutation:
     def test_reversal_sequence(self):
         p = sequence_to_perm("654321")
-        assert p.position(6) == 1
-        assert p.position(1) == 6
+        assert p.pi[6 - 1] == 1
+        assert p.pi[1 - 1] == 6
 
     def test_identity(self):
-        assert sequence_to_perm("123") == Permutation.identity(3)
+        assert sequence_to_perm("123") == Permutation((1, 2, 3))
 
     def test_positions_from_sequence(self):
         assert sequence_to_perm("4132").pi == (2, 4, 3, 1)
@@ -247,12 +253,12 @@ class TestPermutation:
 
     def test_spaced_sequence(self):
         p = sequence_to_perm("10 1 2 3 4 5 6 7 8 9")
-        assert p.position(10) == 1
+        assert p.pi[10 - 1] == 1
 
 
 class TestPermToLopVertex:
     def test_identity_all_ones(self):
-        assert perm_to_lop_vertex(Permutation.identity(3)).to_string() == "111"
+        assert perm_to_lop_vertex(Permutation((1, 2, 3))).to_string() == "111"
 
     def test_reversal_all_zeros(self):
         assert perm_to_lop_vertex(sequence_to_perm("321")).to_string() == "000"
@@ -298,8 +304,8 @@ class TestLinearForm:
 
     def test_relations(self):
         f = LinearForm((1,), ">=", 1)
-        assert not f.satisfied_by(Vertex01.from_string("0"))
-        assert f.satisfied_by(Vertex01.from_string("1"))
+        assert not f.holds(f.evaluate(Vertex01.from_string("0")))
+        assert f.holds(f.evaluate(Vertex01.from_string("1")))
 
     def test_parse_render_round_trip(self):
         f = LinearForm((0, 1, 1, 0, -1, 0), "=", 0)

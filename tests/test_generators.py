@@ -25,6 +25,7 @@ from polyface.core import (
     VertexSet,
     lop_pair_bits,
     lop_word_from_positions,
+    pair_index,
     pairs,
 )
 from polyface.generators import DEFAULT_MAX_NAIVE_DCP_COLS
@@ -63,12 +64,10 @@ class TestBqpVertices:
         assert len(bqp_vertices(n)) == 2 ** n
 
     def test_product_structure(self):
-        from polyface.core import bqp_coord_index
-
         n = 4
         for v in bqp_vertices(n):
             for i, j in pairs(n):
-                assert v.bit(bqp_coord_index(i, j, n)) == v.bit(i - 1) * v.bit(j - 1)
+                assert v.bit(n + pair_index(i, j, n)) == v.bit(i - 1) * v.bit(j - 1)
 
 
 class TestLopVertices:
