@@ -105,7 +105,7 @@ def cmd_face(args) -> int:
     }
     _emit_report(report, args)
     if args.face_out:
-        _write_vertex_set(extraction.face, args.face_out, args.format_out)
+        _write_vertex_set(extraction.face, args.face_out, args.format)
     return 0 if report.all_passed else 1
 
 
@@ -236,22 +236,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fmt = {"choices": ("text", "json"), "default": "text"}
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    perms = argparse.ArgumentParser(add_help=False)
+    perms.add_argument(
+        "--max-perms",
+        type=int,
+        default=DEFAULT_MAX_PERMS,
+        help=f"linear-order enumeration budget (default {DEFAULT_MAX_PERMS})",
+    )
 
-    p = sub.add_parser("generate", help="enumerate a vertex set")
+    p = sub.add_parser("generate", parents=[fmt, perms], help="enumerate a vertex set")
     p.add_argument("family", choices=("bqp", "lop", "stable", "dcp"))
     p.add_argument("--n", type=int, help="variable count for bqp")
     p.add_argument("--m", type=int, help="element count for lop")
     p.add_argument("--graph", help="graph file for stable")
     p.add_argument("--matrix", help="four-ones matrix file for dcp")
     p.add_argument("--out", help="write the vertex set to this file")
-    p.add_argument("--format", **fmt)
-    p.add_argument(
-        "--max-perms",
-        type=int,
-        default=DEFAULT_MAX_PERMS,
-        help=f"linear-order enumeration budget (default {DEFAULT_MAX_PERMS})",
-    )
     p.add_argument(
         "--max-cols",
         type=int,
@@ -260,31 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("face", help="extract the face cut out by an equality system")
+    p = sub.add_parser(
+        "face", parents=[fmt], help="extract the face cut out by an equality system"
+    )
     p.add_argument("--set", required=True, help="vertex-set file")
     p.add_argument("--system", required=True, help="face-system file")
     p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--face-out", help="write the face vertex set to this file")
-    p.add_argument("--format", **fmt)
-    p.add_argument(
-        "--format-out", choices=("text", "json"), default="text",
-        help="format of the face vertex-set file",
-    )
+    p.add_argument("--face-out", help="write the face vertex set to this file, in --format")
     p.set_defaults(func=cmd_face)
 
-    p = sub.add_parser("verify", help="run one of the embedding certifiers")
+    p = sub.add_parser(
+        "verify", parents=[fmt, perms], help="run one of the embedding certifiers"
+    )
     p.add_argument("construction", choices=("theorem1", "lemma1", "dcp"))
     p.add_argument("--n", type=int, help="variable count for theorem1")
     p.add_argument("--graph", help="graph file for lemma1")
     p.add_argument("--m", type=int, help="element count for dcp")
     p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--format", **fmt)
-    p.add_argument(
-        "--max-perms",
-        type=int,
-        default=DEFAULT_MAX_PERMS,
-        help=f"linear-order enumeration budget (default {DEFAULT_MAX_PERMS})",
-    )
     p.add_argument(
         "--max-cols",
         type=int,
@@ -293,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("geometry", help="LP-backed predicates on a vertex set")
+    p = sub.add_parser("geometry", parents=[fmt], help="LP-backed predicates on a vertex set")
     p.add_argument("check", choices=("adjacent", "face", "clique", "neighborly"))
     p.add_argument("--set", required=True, help="vertex-set file")
     p.add_argument("--u", help="vertex selector (bit string or 0-based index)")
@@ -305,12 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=int, help="subset size for the neighborly sweep")
     p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_geometry)
 
-    p = sub.add_parser("report", help="render a stored JSON report")
+    p = sub.add_parser("report", parents=[fmt], help="render a stored JSON report")
     p.add_argument("--in", required=True, help="report JSON file")
-    p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -57,61 +57,60 @@ def triples(m: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(1, m + 1), 3))
 
 
+#: The default coordinate labels of each layout kind, as a function of the
+#: kind's parameter.  A layout's dimension is its number of labels.
+_KIND_LABELS = {
+    "bqp": lambda n: tuple(
+        f"x({i},{j})" for i, j in [(i, i) for i in range(1, n + 1)] + pairs(n)
+    ),
+    "lop": lambda m: tuple(f"y({i},{j})" for i, j in pairs(m)),
+    "stable": lambda n: tuple(f"x({i})" for i in range(1, n + 1)),
+    "dcp": lambda n: tuple(f"c({k})" for k in range(1, n + 1)),
+}
+
+
+@dataclass(frozen=True)
 class CoordLayout:
     """A named coordinate space: kind, size parameter, and ordered labels.
 
-    Kinds:
-      * ``bqp``    - dimension n(n+1)/2: labels x(i,i) for i in [n], then
-                     x(i,j) for i < j lexicographic,
-      * ``lop``    - dimension m(m-1)/2: labels y(i,j) for i < j lexicographic,
-      * ``stable`` - dimension n: labels x(i),
-      * ``dcp``    - one label per column; generic columns are c(k), embedding
-                     layouts carry their structured labels.
+    Kinds, with the default labels that ``_KIND_LABELS`` lists:
+      * ``bqp``    - x(i,i) for i in [n], then x(i,j) for i < j lexicographic,
+      * ``lop``    - y(i,j) for i < j lexicographic,
+      * ``stable`` - x(i) for i in [n],
+      * ``dcp``    - one label per column: c(k); embedding layouts carry
+                     their structured labels instead.
+
+    Custom labels replace the defaults one for one, so the dimension is the
+    default label count whatever the labels.  Layouts are values: equal
+    kind, parameter and labels compare and hash equal.
     """
 
-    __slots__ = ("kind", "param", "labels", "dim", "_index")
+    kind: str
+    param: int
+    #: None (the default) stands for the kind's default labels.
+    labels: tuple[str, ...] | None = None
+    _index: dict = field(init=False, repr=False, compare=False, default=None)
 
-    def __init__(self, kind: str, param: int, labels: Sequence[str] | None = None):
-        if kind not in ("bqp", "lop", "stable", "dcp"):
-            raise InvalidParameterError(f"unknown layout kind: {kind!r}")
-        if param < 0:
-            raise InvalidParameterError(f"layout parameter must be >= 0, got {param}")
-        if labels is None:
-            labels = self._default_labels(kind, param)
-        labels = tuple(labels)
-        expected = self._dimension(kind, param)
-        if len(labels) != expected:
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _KIND_LABELS:
+            raise InvalidParameterError(f"unknown layout kind: {self.kind!r}")
+        if self.param < 0:
+            raise InvalidParameterError(f"layout parameter must be >= 0, got {self.param}")
+        default = _KIND_LABELS[self.kind](self.param)
+        labels = default if self.labels is None else tuple(self.labels)
+        if len(labels) != len(default):
             raise InvalidParameterError(
-                f"{kind}({param}) needs {expected} labels, got {len(labels)}"
+                f"{self.kind}({self.param}) needs {len(default)} labels, got {len(labels)}"
             )
-        self.kind = kind
-        self.param = param
-        self.labels = labels
-        self.dim = len(labels)
-        self._index = {lab: k for k, lab in enumerate(labels)}
         # the text header lists labels separated by spaces
-        if len(self._index) != len(labels) or any(str(lab).split() != [lab] for lab in labels):
+        if any(str(lab).split() != [lab] for lab in labels) or len(set(labels)) != len(labels):
             raise InvalidParameterError("coordinate labels must be distinct words")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
 
-    @staticmethod
-    def _dimension(kind: str, param: int) -> int:
-        if kind == "bqp":
-            return param * (param + 1) // 2
-        if kind == "lop":
-            return param * (param - 1) // 2
-        return param
-
-    @staticmethod
-    def _default_labels(kind: str, param: int) -> tuple[str, ...]:
-        if kind == "bqp":
-            diag = [f"x({i},{i})" for i in range(1, param + 1)]
-            off = [f"x({i},{j})" for i, j in pairs(param)]
-            return tuple(diag + off)
-        if kind == "lop":
-            return tuple(f"y({i},{j})" for i, j in pairs(param))
-        if kind == "stable":
-            return tuple(f"x({i})" for i in range(1, param + 1))
-        return tuple(f"c({k})" for k in range(1, param + 1))
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
 
     @classmethod
     def bqp(cls, n: int) -> "CoordLayout":
@@ -144,7 +143,7 @@ class CoordLayout:
             raise InvalidParameterError(f"no coordinate labelled {label!r}") from None
 
     def _custom_labels(self) -> bool:
-        return self.labels != self._default_labels(self.kind, self.param)
+        return self.labels != _KIND_LABELS[self.kind](self.param)
 
     def header(self) -> str:
         """Header of the text formats: ``layout <kind> <param>``, then a
@@ -169,16 +168,13 @@ class CoordLayout:
         parts = lines[0].split()
         if len(parts) != 3 or parts[0] != "layout":
             raise ParseError(f"bad layout header: {lines[0]!r}")
-        kind = parts[1]
         try:
             param = int(parts[2])
         except ValueError:
             raise ParseError(f"bad layout parameter: {parts[2]!r}") from None
-        if kind not in ("bqp", "lop", "stable", "dcp"):
-            raise ParseError(f"unknown layout kind: {kind!r}")
         if lines[1:] and lines[1].split()[:1] == ["labels"]:
-            return cls(kind, param, lines[1].split()[1:]), list(lines[2:])
-        return cls(kind, param), list(lines[1:])
+            return _file_layout(parts[1], param, lines[1].split()[1:]), list(lines[2:])
+        return _file_layout(parts[1], param), list(lines[1:])
 
     def to_json_obj(self) -> dict:
         obj = {"kind": self.kind, "param": self.param, "dim": self.dim}
@@ -192,30 +188,27 @@ class CoordLayout:
             kind, param, labels = obj["kind"], obj["param"], obj.get("labels")
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad layout object: {obj!r}") from exc
-        if not isinstance(param, int) or isinstance(param, bool):
+        # JSON booleans load as Python bools, which are ints
+        if type(param) is not int:
             raise ParseError(f"layout param must be an integer: {param!r}")
         if labels is not None and not isinstance(labels, list):
             raise ParseError(f"layout labels must be a list: {labels!r}")
-        layout = cls(kind, param, labels)
-        if "dim" in obj and obj["dim"] != layout.dim:
-            raise ParseError(
-                f"layout {kind}({param}) has dim {layout.dim}, not {obj['dim']!r}"
-            )
+        layout = _file_layout(kind, param, labels)
+        dim = obj.get("dim", layout.dim)
+        if type(dim) is not int or dim != layout.dim:
+            raise ParseError(f"layout {kind}({param}) has dim {layout.dim}, not {dim!r}")
         return layout
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoordLayout)
-            and self.kind == other.kind
-            and self.param == other.param
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.param, self.labels))
 
     def __repr__(self) -> str:
         return f"CoordLayout({self.kind}, {self.param}, dim={self.dim})"
+
+
+def _file_layout(kind, param: int, labels: Sequence[str] | None = None) -> CoordLayout:
+    """The layout that a file names; a bad one is a ParseError."""
+    try:
+        return CoordLayout(kind, param, labels)
+    except InvalidParameterError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 @dataclass(frozen=True, order=True)

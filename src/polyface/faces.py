@@ -111,7 +111,10 @@ class FaceSystem:
             raise ParseError("empty face-system file")
         layout, body = CoordLayout.split_header(lines)
         forms = tuple(LinearForm.parse(ln) for ln in body)
-        return cls(layout, forms)
+        try:
+            return cls(layout, forms)
+        except DimensionMismatchError as exc:
+            raise ParseError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ sorted), so outputs are reproducible byte for byte.  Enumeration budgets are
 plain keyword arguments with package-wide defaults.  The two brute-force
 oracles, kept to cross-check the enumerators, have fixed caps instead: the
 module constants ``DEFAULT_ORACLE_MAX_M`` and ``DEFAULT_MAX_NAIVE_DCP_COLS``.
+
+Graph and four-ones matrix files share one reader: a line ``n <count>`` or
+``cols <count>``, then one row of integers per line.  Each class checks its
+own rows (an edge is two distinct vertices, a matrix row four distinct
+columns), and the reader turns what they reject into a ParseError.
 """
 
 from __future__ import annotations
@@ -32,6 +37,23 @@ DEFAULT_MAX_DCP_COLS = 40
 DEFAULT_MAX_NAIVE_DCP_COLS = 20
 
 
+def _parse_counted_rows(text: str, keyword: str, build):
+    """``build(count, rows)`` for a file of one line ``<keyword> <count>``
+    and then one row of integers per line.  Malformed text, and anything
+    ``build`` rejects with InvalidParameterError, is a ParseError."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or len(lines[0]) != 2 or lines[0][0] != keyword:
+        raise ParseError(f"file must start with a line '{keyword} <count>'")
+    try:
+        count, rows = int(lines[0][1]), [tuple(map(int, ln)) for ln in lines[1:]]
+    except ValueError as exc:
+        raise ParseError(f"bad integer in a '{keyword}' file: {exc}") from None
+    try:
+        return build(count, rows)
+    except InvalidParameterError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertex set [n], edges as sorted pairs."""
@@ -49,10 +71,10 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         normalized = set()
-        for a, b in edges:
-            if a == b:
-                raise InvalidParameterError(f"loop edge ({a}, {b}) not allowed")
-            normalized.add((min(a, b), max(a, b)))
+        for edge in edges:
+            if len(edge) != 2 or edge[0] == edge[1]:
+                raise InvalidParameterError(f"an edge needs two distinct vertices: {edge!r}")
+            normalized.add((min(edge), max(edge)))
         return cls(n, frozenset(normalized))
 
     @classmethod
@@ -73,26 +95,7 @@ class Graph:
 
     @classmethod
     def parse(cls, text: str) -> "Graph":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("n "):
-            raise ParseError("graph file must start with a line 'n <count>'")
-        try:
-            n = int(lines[0].split()[1])
-        except (IndexError, ValueError):
-            raise ParseError(f"bad graph header: {lines[0]!r}") from None
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad edge line: {ln!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(f"bad edge line: {ln!r}") from None
-        try:
-            return cls.from_edges(n, edges)
-        except InvalidParameterError as exc:
-            raise ParseError(str(exc)) from exc
+        return _parse_counted_rows(text, "n", cls.from_edges)
 
 
 @dataclass(frozen=True)
@@ -132,23 +135,7 @@ class FourOnesMatrix:
 
     @classmethod
     def parse(cls, text: str) -> "FourOnesMatrix":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("cols "):
-            raise ParseError("matrix file must start with a line 'cols <n>'")
-        try:
-            n = int(lines[0].split()[1])
-        except (IndexError, ValueError):
-            raise ParseError(f"bad matrix header: {lines[0]!r}") from None
-        rows = []
-        for ln in lines[1:]:
-            try:
-                rows.append(tuple(int(t) for t in ln.split()))
-            except ValueError:
-                raise ParseError(f"bad row line: {ln!r}") from None
-        try:
-            return cls.from_rows(n, rows)
-        except InvalidParameterError as exc:
-            raise ParseError(str(exc)) from exc
+        return _parse_counted_rows(text, "cols", cls.from_rows)
 
 
 def bqp_vertices(n: int) -> VertexSet:

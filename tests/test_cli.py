@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from polyface import LinearForm, VertexSet, lop_vertices
-from polyface.cli import main
+from polyface.cli import build_parser, main
 from polyface.generators import Graph
 
 
@@ -25,6 +26,35 @@ def k2_file(tmp_path):
     path = tmp_path / "k2.graph"
     path.write_text(Graph.from_edges(2, [(1, 2)]).render())
     return str(path)
+
+
+def test_flags_and_defaults():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {
+            ", ".join(a.option_strings) or a.dest: a.default
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, p in sub.choices.items()
+    }
+    outputs = {"--out": None, "--format": "text"}
+    assert got == {
+        "generate": {
+            "family": None, "--n": None, "--m": None, "--graph": None, "--matrix": None,
+            **outputs, "--max-perms": 40320, "--max-cols": 40,
+        },
+        "face": {"--set": None, "--system": None, "--face-out": None, **outputs},
+        "verify": {
+            "construction": None, "--n": None, "--graph": None, "--m": None,
+            **outputs, "--max-perms": 40320, "--max-cols": 18,
+        },
+        "geometry": {
+            "check": None, "--set": None, "--u": None, "--v": None, "--subset": None,
+            "--k": None, **outputs,
+        },
+        "report": {"--in": None, "--format": "text"},
+    }
 
 
 class TestGenerate:
@@ -96,6 +126,23 @@ class TestFaceCommand:
         assert "face_size: 3" in stdout
         face = VertexSet.from_text(face_out.read_text())
         assert {v.to_string() for v in face} == {"000", "001", "011"}
+
+    def test_face_out_follows_format(self, capsys, tmp_path, lop3_file):
+        system = tmp_path / "sys.fs"
+        system.write_text("layout lop 3\n1 0 0 = 0\n")
+        face_out = tmp_path / "face.json"
+        code, _, _ = run(
+            capsys, "face", "--set", lop3_file, "--system", str(system),
+            "--format", "json", "--face-out", str(face_out),
+        )
+        assert code == 0
+        face = VertexSet.from_json(face_out.read_text())
+        assert [v.to_string() for v in face] == ["000", "001", "011"]
+        code, stdout, _ = run(
+            capsys, "geometry", "adjacent", "--set", str(face_out), "--u", "0", "--v", "1"
+        )
+        assert code == 0
+        assert "PASS adjacent" in stdout
 
     def test_unattained_equality_fails(self, capsys, tmp_path, lop3_file):
         system = tmp_path / "sys.fs"

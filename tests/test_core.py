@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,15 @@ class TestCoordLayout:
         with pytest.raises(Exception):
             CoordLayout("cube", 3)
 
+    def test_is_a_value(self):
+        a, b = CoordLayout.lop(3), CoordLayout("lop", 3, ["y(1,2)", "y(1,3)", "y(2,3)"])
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1, b: 2} == {a: 2}
+        assert a != CoordLayout.dcp(3) and a != CoordLayout.lop(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.param = 4
+        assert repr(a) == "CoordLayout(lop, 3, dim=3)"
+
 
 class TestVertex01:
     def test_string_round_trip(self):
@@ -150,6 +161,11 @@ class TestVertexSet:
         with pytest.raises(ParseError, match="has dim 3, not 99"):
             VertexSet.from_json(text)
         assert len(VertexSet.from_json(text.replace("99", "3"))) == 0
+        # equal to the dimension, but not JSON integers
+        for param, dim in ((2, "true"), (3, "3.0")):
+            text = '{"layout": {"kind": "lop", "param": %d, "dim": %s}, "vertices": []}'
+            with pytest.raises(ParseError, match=f"has dim {param * (param - 1) // 2}, not"):
+                VertexSet.from_json(text % (param, dim))
 
     def test_bad_vertex_length_in_file(self):
         with pytest.raises(ParseError):
@@ -164,6 +180,22 @@ class TestVertexSet:
         text = '{"layout": {"kind": "lop", "param": %s}, "vertices": []}' % param
         with pytest.raises(ParseError, match="layout param must be an integer"):
             VertexSet.from_json(text)
+
+    @pytest.mark.parametrize(
+        "kind, param, labels",
+        [
+            ("cube", 3, None), ("lop", -1, None), (["lop"], 3, None),
+            ("dcp", 3, ["a", "b"]), ("dcp", 3, ["a", "b", "a"]),
+        ],
+        ids=["unknown kind", "negative param", "list kind", "short labels", "duplicate labels"],
+    )
+    def test_malformed_layout_in_files(self, kind, param, labels):
+        header = f"layout {kind} {param}" + (f"\nlabels {' '.join(labels)}" if labels else "")
+        with pytest.raises(ParseError):
+            VertexSet.from_text(header + "\n")
+        obj = {"kind": kind, "param": param} | ({"labels": labels} if labels else {})
+        with pytest.raises(ParseError):
+            VertexSet.from_json(json.dumps({"layout": obj, "vertices": []}))
 
     @pytest.mark.parametrize("vertices", ['"0101"', '[1, 0]', '{"0": 1}', "null"])
     def test_json_vertices_must_be_a_list_of_strings(self, vertices):
@@ -214,7 +246,9 @@ class TestCustomLabels:
             CoordLayout.from_header("layout dcp 3\nlabels a b c\n101")
         with pytest.raises(ParseError):
             CoordLayout.from_json_obj({"kind": "dcp", "param": 3, "labels": "abc"})
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ParseError):
+            CoordLayout.from_json_obj({"kind": "dcp", "param": 1, "labels": [["a"]]})
+        with pytest.raises(ParseError):
             VertexSet.from_text("layout dcp 3\nlabels a b\n101\n")
 
 

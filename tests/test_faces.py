@@ -160,3 +160,5 @@ class TestFaceSystemIO:
             FaceSystem.parse("")
         with pytest.raises(ParseError):
             FaceSystem.parse("layout lop 3\n1 0 0 < 0\n")
+        with pytest.raises(ParseError, match="form of dim 2"):
+            FaceSystem.parse("layout lop 3\n1 0 = 0\n")
