@@ -8,6 +8,8 @@ Conventions used throughout the package:
   ``dim - 1 - i``, so comparing packed words is exactly lexicographic
   comparison of the coordinate sequences and ``to_string`` is a plain binary
   rendering,
+* a linear order on [m] is the word of its pair bits: y(a, b), a < b, is 1
+  iff a precedes b, and ``lop_pair_bits`` is the table of these bits,
 * vertex sets are deduplicated and sorted in that lexicographic order, which
   makes every generator and face extraction deterministic down to the byte.
 """
@@ -203,8 +205,23 @@ class CoordLayout:
         return f"CoordLayout({self.kind}, {self.param}, dim={self.dim})"
 
 
+#: Most coordinates in a layout that a file names.  A header names its
+#: parameter in a few bytes, while the labels grow with its square, so the
+#: cap is checked before any label is built.
+MAX_FILE_LAYOUT_DIM = 1 << 16
+
+
 def _file_layout(kind, param: int, labels: Sequence[str] | None = None) -> CoordLayout:
     """The layout that a file names; a bad one is a ParseError."""
+    # bqp(n) has n(n+1)/2 coordinates, lop(m) m(m-1)/2, stable(n) and dcp(n) n
+    dim = param
+    if kind in ("bqp", "lop"):
+        dim = param * (param + 1 if kind == "bqp" else param - 1) // 2
+    if dim > MAX_FILE_LAYOUT_DIM:
+        raise ParseError(
+            f"layout {kind} {param} has {dim} coordinates; a file may name "
+            f"at most {MAX_FILE_LAYOUT_DIM}"
+        )
     try:
         return CoordLayout(kind, param, labels)
     except InvalidParameterError as exc:
@@ -422,10 +439,7 @@ class Permutation:
 
     def sequence(self) -> tuple[int, ...]:
         """Elements in position order (the inverse permutation)."""
-        seq = [0] * self.m
-        for element, position in enumerate(self.pi, start=1):
-            seq[position - 1] = element
-        return tuple(seq)
+        return _inverse(self.pi)
 
     def sequence_str(self) -> str:
         seq = self.sequence()
@@ -457,73 +471,64 @@ def sequence_to_perm(s: str | Sequence[int]) -> Permutation:
     m = len(elements)
     if sorted(elements) != list(range(1, m + 1)):
         raise ParseError(f"sequence is not a permutation of [{m}]: {elements!r}")
-    pi = [0] * m
-    for position, element in enumerate(elements, start=1):
-        pi[element - 1] = position
-    return Permutation(tuple(pi))
+    return Permutation(_inverse(elements))
 
 
-def lop_pair_bits(m: int) -> tuple[tuple[int, int, int], ...]:
-    """Per-pair packing table for the linear-order layout.
-
-    Entries are (i, j, bitmask) where bitmask marks coordinate (i, j) inside a
-    packed word of dimension m(m-1)/2.
-    """
-    dim = m * (m - 1) // 2
-    table = []
-    for i, j in pairs(m):
-        bit = 1 << (dim - 1 - pair_index(i, j, m))
-        table.append((i, j, bit))
-    return tuple(table)
+def _inverse(p: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation of [m], both written 1-based."""
+    inv = [0] * len(p)
+    for k, image in enumerate(p, start=1):
+        inv[image - 1] = k
+    return tuple(inv)
 
 
-def lop_word_from_positions(positions: Sequence[int], pair_bits) -> int:
-    """Packed characteristic word of the linear order given element positions.
-
-    ``positions[e - 1]`` is the position of element e; coordinate (i, j) is 1
-    iff element i precedes element j.
-    """
-    word = 0
-    for i, j, bit in pair_bits:
-        if positions[i - 1] < positions[j - 1]:
-            word |= bit
-    return word
+def lop_pair_bits(m: int) -> list[list[int]]:
+    """The table ``bits[a][b]`` of lop(m): the packed bit of coordinate
+    y(a, b) for 1 <= a < b <= m, and 0 for every other a, b in 0..m."""
+    bits = [[0] * (m + 1) for _ in range(m + 1)]
+    bit = 1 << (m * (m - 1) // 2)
+    for a, b in pairs(m):
+        bit >>= 1
+        bits[a][b] = bit
+    return bits
 
 
 def perm_to_lop_vertex(p: Permutation) -> Vertex01:
-    """Characteristic vector of the linear order induced by a permutation.
+    """Characteristic vector of the linear order induced by a permutation:
+    each element precedes every element after it in ``p.sequence()``.
 
-    Coordinate (i, j), i < j, equals 1 iff element i is placed before
-    element j.
+    >>> perm_to_lop_vertex(sequence_to_perm("312")).to_string()
+    '100'
     """
-    m = p.m
-    word = lop_word_from_positions(p.pi, lop_pair_bits(m))
+    m, seq = p.m, p.sequence()
+    bits = lop_pair_bits(m)
+    word = 0
+    for k, a in enumerate(seq, start=1):
+        for b in seq[k:]:
+            word |= bits[a][b]
     return Vertex01(m * (m - 1) // 2, word)
 
 
 def lop_vertex_to_perm(v: Vertex01, m: int) -> Permutation:
-    """Invert perm_to_lop_vertex: recover element positions from a word.
+    """Invert perm_to_lop_vertex: count how many elements each element
+    precedes, list the elements by that count, most first, and encode the
+    list again.  A word that does not come back is not a linear order.
 
-    In a transitive tournament, element positions are determined by the
-    number of elements each one precedes.  The result is validated by a
-    round trip: the word of any position vector is a linear order, so a
-    word that is not one fails it and raises InvalidVertexError.
+    >>> lop_vertex_to_perm(Vertex01.from_string("100"), 3).sequence_str()
+    '312'
     """
     if v.dim != m * (m - 1) // 2:
         raise DimensionMismatchError(
             f"vertex of dim {v.dim} cannot encode a linear order on [{m}]"
         )
     precedes = [0] * (m + 1)
-    table = lop_pair_bits(m)
-    for i, j, bit in table:
-        if v.word & bit:
-            precedes[i] += 1
-        else:
-            precedes[j] += 1
-    positions = tuple(m - precedes[e] for e in range(1, m + 1))
-    if lop_word_from_positions(positions, table) != v.word:
+    for (a, b), y in zip(pairs(m), v.bits):
+        precedes[a if y else b] += 1
+    seq = sorted(range(1, m + 1), key=precedes.__getitem__, reverse=True)
+    p = Permutation(_inverse(seq))
+    if perm_to_lop_vertex(p) != v:
         raise InvalidVertexError(f"{v} is not the vector of a linear order")
-    return Permutation(positions)
+    return p
 
 
 @dataclass(frozen=True)

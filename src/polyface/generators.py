@@ -19,7 +19,7 @@ from itertools import accumulate
 from math import factorial
 from operator import or_
 
-from .core import CoordLayout, VertexSet, pair_index, pairs
+from .core import CoordLayout, VertexSet, lop_pair_bits, pairs
 from .errors import CapacityError, InvalidParameterError, ParseError
 from .faces import three_cycle_forms
 
@@ -163,11 +163,11 @@ def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
 
     Built by insertion: the orders of {e, ..., m} are the orders of
     {e+1, ..., m} with e inserted at every position, for e = m down to 1.
-    Element e then precedes exactly the elements after it, so the new bits
-    are the pair bits (e, j) of that suffix: one OR of a running suffix mask
-    per inserted word.  The insertions run depth first, so only the
-    sequences on the current path are alive; the last level keeps words
-    only.
+    As in ``perm_to_lop_vertex``, e precedes every element after it, so the
+    new bits are ``lop_pair_bits(m)[e][j]`` over that suffix: one OR of a
+    running suffix mask per inserted word.  The insertions run depth first,
+    so only the sequences on the current path are alive; the last level
+    keeps words only.
 
     >>> [v.to_string() for v in lop_vertices(3)]
     ['000', '001', '011', '100', '110', '111']
@@ -179,23 +179,17 @@ def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
             f"enumerating {m}! = {factorial(m)} linear orders exceeds the budget "
             f"of {max_perms}; raise max_perms to allow it"
         )
-    layout = CoordLayout.lop(m)
-    dim = layout.dim
-    # pair_bits[e][j] marks coordinate (e, j) for e < j; 0 elsewhere.
-    pair_bits = [
-        [1 << (dim - 1 - pair_index(e, j, m)) if 0 < e < j else 0 for j in range(m + 1)]
-        for e in range(m + 1)
-    ]
     words: list[int] = []
-    _insert_below((), 0, m, pair_bits, words)
-    return VertexSet.from_words(layout, words)
+    _insert_below((), 0, m, lop_pair_bits(m), words)
+    return VertexSet.from_words(CoordLayout.lop(m), words)
 
 
 def _insert_below(
     seq: tuple[int, ...], word: int, e: int, pair_bits: list[list[int]], words: list[int]
 ) -> None:
     """Append to ``words`` every order that extends ``seq``, an order of
-    {e+1, ..., m} with packed word ``word``, by inserting e, e-1, ..., 1."""
+    {e+1, ..., m} with packed word ``word``, by inserting e, e-1, ..., 1;
+    ``pair_bits`` is ``lop_pair_bits(m)``."""
     # suffix masks for inserting e at positions len(seq), ..., 0
     suffixes = accumulate(map(pair_bits[e].__getitem__, reversed(seq)), or_, initial=0)
     if e == 1:

@@ -20,6 +20,7 @@ from polyface import (
     Vertex01,
     VertexSet,
     lop_vertex_to_perm,
+    lop_vertices,
     pair_index,
     perm_to_lop_vertex,
     sequence_to_perm,
@@ -186,8 +187,12 @@ class TestVertexSet:
         [
             ("cube", 3, None), ("lop", -1, None), (["lop"], 3, None),
             ("dcp", 3, ["a", "b"]), ("dcp", 3, ["a", "b", "a"]),
+            ("lop", 100000, None), ("bqp", 100000, None), ("stable", 10**9, None),
         ],
-        ids=["unknown kind", "negative param", "list kind", "short labels", "duplicate labels"],
+        ids=[
+            "unknown kind", "negative param", "list kind", "short labels", "duplicate labels",
+            "huge lop", "huge bqp", "huge stable",
+        ],
     )
     def test_malformed_layout_in_files(self, kind, param, labels):
         header = f"layout {kind} {param}" + (f"\nlabels {' '.join(labels)}" if labels else "")
@@ -303,7 +308,7 @@ class TestPermToLopVertex:
         assert v.bit(pair_index(3, 4, 6)) == 0
         assert v.bit(pair_index(5, 6, 6)) == 0
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_injective(self, m):
         from itertools import permutations
 
@@ -314,8 +319,9 @@ class TestPermToLopVertex:
         import math
 
         assert len(words) == math.factorial(m)
+        assert words == set(lop_vertices(m).words)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_vertex_to_perm_round_trip(self, m):
         from itertools import permutations
 
@@ -327,6 +333,14 @@ class TestPermToLopVertex:
     def test_non_order_word_rejected(self):
         with pytest.raises(InvalidVertexError):
             lop_vertex_to_perm(Vertex01.from_string("101"), 3)
+        for m, count in ((3, 2), (4, 40)):
+            dim = m * (m - 1) // 2
+            orders = set(lop_vertices(m).words)
+            others = [w for w in range(1 << dim) if w not in orders]
+            assert len(others) == count
+            for w in others:
+                with pytest.raises(InvalidVertexError):
+                    lop_vertex_to_perm(Vertex01(dim, w), m)
 
 
 class TestLinearForm:

@@ -162,3 +162,5 @@ class TestFaceSystemIO:
             FaceSystem.parse("layout lop 3\n1 0 0 < 0\n")
         with pytest.raises(ParseError, match="form of dim 2"):
             FaceSystem.parse("layout lop 3\n1 0 = 0\n")
+        with pytest.raises(ParseError, match="at most"):
+            FaceSystem.parse("layout lop 100000\n1 = 0\n")

@@ -23,8 +23,6 @@ from polyface.core import (
     CoordLayout,
     Vertex01,
     VertexSet,
-    lop_pair_bits,
-    lop_word_from_positions,
     pair_index,
     pairs,
 )
@@ -32,14 +30,19 @@ from polyface.generators import DEFAULT_MAX_NAIVE_DCP_COLS
 
 
 def lop_vertices_by_permutation(m: int) -> VertexSet:
-    """Reference route: one characteristic word per permutation of [m]."""
-    pair_bits = lop_pair_bits(m)
+    """Reference route: one characteristic word per permutation of [m], with
+    y(i, j) set iff i sits at an earlier position than j."""
+    dim = m * (m - 1) // 2
     words = []
     positions = [0] * m
     for seq in permutations(range(1, m + 1)):
         for pos, element in enumerate(seq, start=1):
             positions[element - 1] = pos
-        words.append(lop_word_from_positions(positions, pair_bits))
+        word = 0
+        for i, j in pairs(m):
+            if positions[i - 1] < positions[j - 1]:
+                word |= 1 << (dim - 1 - pair_index(i, j, m))
+        words.append(word)
     return VertexSet.from_words(CoordLayout.lop(m), words)
 
 
