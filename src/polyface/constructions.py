@@ -567,7 +567,9 @@ def dcp_verify(
     that the z=0, h=1 face projects bijectively onto the order polytope
     vertex set, and the two dependent-coordinate identities on the face
     (complements yb = 1 - y and slacks t = 1 - (y_ij + y_jk - y_ik)).
+    The order budget is checked before the embedding's C(m,3) rows are built.
     """
+    lop = lop_vertices(m, max_perms=max_perms)
     emb = dcp_embedding(m)
     ncols = emb.layout.dim
     report = Report("dcp", {"m": m})
@@ -583,7 +585,6 @@ def dcp_verify(
         witness="some row does not have four distinct columns",
     )
 
-    lop = lop_vertices(m, max_perms=max_perms)
     dcp_set = dcp_vertices(emb.matrix, max_cols=max_cols, layout=emb.layout)
     face = extract_face(dcp_set, dcp_face_system(emb)).face
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -59,32 +60,44 @@ def triples(m: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(1, m + 1), 3))
 
 
-#: The default coordinate labels of each layout kind, as a function of the
-#: kind's parameter.  A layout's dimension is its number of labels.
-_KIND_LABELS = {
-    "bqp": lambda n: tuple(
-        f"x({i},{j})" for i, j in [(i, i) for i in range(1, n + 1)] + pairs(n)
-    ),
-    "lop": lambda m: tuple(f"y({i},{j})" for i, j in pairs(m)),
-    "stable": lambda n: tuple(f"x({i})" for i in range(1, n + 1)),
-    "dcp": lambda n: tuple(f"c({k})" for k in range(1, n + 1)),
+#: Each layout kind: its parameter's name, then its dimension and its
+#: default labels as functions of the parameter.
+_Kind = namedtuple("_Kind", "param_name dim labels")
+_KINDS = {
+    "bqp": _Kind("n", lambda n: n * (n + 1) // 2, lambda n: tuple(
+        f"x({i},{j})" for i, j in [(i, i) for i in range(1, n + 1)] + pairs(n))),
+    "lop": _Kind("m", lambda m: m * (m - 1) // 2, lambda m: tuple(
+        f"y({i},{j})" for i, j in pairs(m))),
+    "stable": _Kind("n", lambda n: n, lambda n: tuple(f"x({i})" for i in range(1, n + 1))),
+    "dcp": _Kind("columns", lambda n: n, lambda n: tuple(f"c({k})" for k in range(1, n + 1))),
 }
+
+
+def _kind(kind, param: int) -> _Kind:
+    """The table row of ``kind``, refusing an unknown kind or a parameter below 1."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidParameterError(f"unknown layout kind: {kind!r}")
+    row = _KINDS[kind]
+    if param < 1:
+        raise InvalidParameterError(f"{kind} layout needs {row.param_name} >= 1, got {param}")
+    return row
 
 
 @dataclass(frozen=True)
 class CoordLayout:
     """A named coordinate space: kind, size parameter, and ordered labels.
 
-    Kinds, with the default labels that ``_KIND_LABELS`` lists:
-      * ``bqp``    - x(i,i) for i in [n], then x(i,j) for i < j lexicographic,
-      * ``lop``    - y(i,j) for i < j lexicographic,
-      * ``stable`` - x(i) for i in [n],
-      * ``dcp``    - one label per column: c(k); embedding layouts carry
+    The table ``_KINDS`` states for each kind, once, the name of its
+    parameter (at least 1), its dimension and its default labels:
+      * ``bqp``    - n: x(i,i) for i in [n], then x(i,j) for i < j lexicographic,
+      * ``lop``    - m: y(i,j) for i < j lexicographic,
+      * ``stable`` - n: x(i) for i in [n],
+      * ``dcp``    - columns: c(k) for each column; embedding layouts carry
                      their structured labels instead.
 
     Custom labels replace the defaults one for one, so the dimension is the
-    default label count whatever the labels.  Layouts are values: equal
-    kind, parameter and labels compare and hash equal.
+    table's whatever the labels.  Layouts are values: equal kind, parameter
+    and labels compare and hash equal.
     """
 
     kind: str
@@ -94,15 +107,11 @@ class CoordLayout:
     _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _KIND_LABELS:
-            raise InvalidParameterError(f"unknown layout kind: {self.kind!r}")
-        if self.param < 0:
-            raise InvalidParameterError(f"layout parameter must be >= 0, got {self.param}")
-        default = _KIND_LABELS[self.kind](self.param)
-        labels = default if self.labels is None else tuple(self.labels)
-        if len(labels) != len(default):
+        row = _kind(self.kind, self.param)
+        labels = row.labels(self.param) if self.labels is None else tuple(self.labels)
+        if len(labels) != row.dim(self.param):
             raise InvalidParameterError(
-                f"{self.kind}({self.param}) needs {len(default)} labels, got {len(labels)}"
+                f"{self.kind}({self.param}) needs {row.dim(self.param)} labels, got {len(labels)}"
             )
         # the text header lists labels separated by spaces
         if any(str(lab).split() != [lab] for lab in labels) or len(set(labels)) != len(labels):
@@ -116,26 +125,18 @@ class CoordLayout:
 
     @classmethod
     def bqp(cls, n: int) -> "CoordLayout":
-        if n < 1:
-            raise InvalidParameterError(f"bqp layout needs n >= 1, got {n}")
         return cls("bqp", n)
 
     @classmethod
     def lop(cls, m: int) -> "CoordLayout":
-        if m < 1:
-            raise InvalidParameterError(f"lop layout needs m >= 1, got {m}")
         return cls("lop", m)
 
     @classmethod
     def stable(cls, n: int) -> "CoordLayout":
-        if n < 1:
-            raise InvalidParameterError(f"stable layout needs n >= 1, got {n}")
         return cls("stable", n)
 
     @classmethod
     def dcp(cls, columns: int, labels: Sequence[str] | None = None) -> "CoordLayout":
-        if columns < 1:
-            raise InvalidParameterError(f"dcp layout needs >= 1 column, got {columns}")
         return cls("dcp", columns, labels)
 
     def index_of(self, label: str) -> int:
@@ -145,7 +146,7 @@ class CoordLayout:
             raise InvalidParameterError(f"no coordinate labelled {label!r}") from None
 
     def _custom_labels(self) -> bool:
-        return self.labels != _KIND_LABELS[self.kind](self.param)
+        return self.labels != _KINDS[self.kind].labels(self.param)
 
     def header(self) -> str:
         """Header of the text formats: ``layout <kind> <param>``, then a
@@ -213,16 +214,11 @@ MAX_FILE_LAYOUT_DIM = 1 << 16
 
 def _file_layout(kind, param: int, labels: Sequence[str] | None = None) -> CoordLayout:
     """The layout that a file names; a bad one is a ParseError."""
-    # bqp(n) has n(n+1)/2 coordinates, lop(m) m(m-1)/2, stable(n) and dcp(n) n
-    dim = param
-    if kind in ("bqp", "lop"):
-        dim = param * (param + 1 if kind == "bqp" else param - 1) // 2
-    if dim > MAX_FILE_LAYOUT_DIM:
-        raise ParseError(
-            f"layout {kind} {param} has {dim} coordinates; a file may name "
-            f"at most {MAX_FILE_LAYOUT_DIM}"
-        )
     try:
+        dim = _kind(kind, param).dim(param)
+        if dim > MAX_FILE_LAYOUT_DIM:
+            raise ParseError(f"layout {kind} {param} has {dim} coordinates; a file may "
+                             f"name at most {MAX_FILE_LAYOUT_DIM}")
         return CoordLayout(kind, param, labels)
     except InvalidParameterError as exc:
         raise ParseError(str(exc)) from exc

@@ -1,10 +1,10 @@
 """Vertex-set generators for the four polytope families.
 
 Every generator returns a canonical VertexSet (deduplicated, lexicographically
-sorted), so outputs are reproducible byte for byte.  Enumeration budgets are
-plain keyword arguments with package-wide defaults.  The two brute-force
-oracles, kept to cross-check the enumerators, have fixed caps instead: the
-module constants ``DEFAULT_ORACLE_MAX_M`` and ``DEFAULT_MAX_NAIVE_DCP_COLS``.
+sorted), so outputs are reproducible byte for byte.  The order and column
+budgets are keyword arguments with package-wide defaults.  Every 2^d scan
+(bqp, stable, and the two brute-force oracles kept to cross-check the
+enumerators) and the backtracking search stop at one cap, ``MAX_VECTORS``.
 
 Graph and four-ones matrix files share one reader: a line ``n <count>`` or
 ``cols <count>``, then one row of integers per line.  Each class checks its
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import factorial
-from operator import or_
+from operator import mul, or_
 
 from .core import CoordLayout, VertexSet, lop_pair_bits, pairs
 from .errors import CapacityError, InvalidParameterError, ParseError
@@ -26,15 +25,19 @@ from .faces import three_cycle_forms
 #: Largest number of linear orders enumerated by default (8 elements).
 DEFAULT_MAX_PERMS = 40320
 
-#: Largest ground-set size accepted by the brute-force linear-order oracle
-#: (2^C(6,2) = 32768 candidate vectors).
-DEFAULT_ORACLE_MAX_M = 6
-
 #: Column budget for the backtracking double-covering enumerator.
 DEFAULT_MAX_DCP_COLS = 40
 
-#: Column budget for the naive double-covering cross-check (2^n filtering).
-DEFAULT_MAX_NAIVE_DCP_COLS = 20
+#: Most 0/1 vectors that any enumeration here scans or keeps; the oracles
+#: thus take lop(m) up to m = 6 (2^15 candidates) and up to 20 columns.
+MAX_VECTORS = 1 << 20
+
+
+def _all_words(dim: int) -> range:
+    """range(2^dim), or a CapacityError when 2^dim exceeds MAX_VECTORS."""
+    if dim >= MAX_VECTORS.bit_length():
+        raise CapacityError(f"2^{dim} vectors exceed the enumeration cap of {MAX_VECTORS}")
+    return range(1 << dim)
 
 
 def _parse_counted_rows(text: str, keyword: str, build):
@@ -144,12 +147,10 @@ def bqp_vertices(n: int) -> VertexSet:
     The 2^n vertices are indexed by their diagonal assignments; coordinate
     (i, j), i < j, is forced to the product of coordinates (i, i) and (j, j).
     """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
     layout = CoordLayout.bqp(n)
     off = pairs(n)
     words = []
-    for d in range(1 << n):
+    for d in _all_words(n):
         diag = [(d >> (n - 1 - i)) & 1 for i in range(n)]
         word = d
         for i, j in off:
@@ -172,16 +173,16 @@ def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
     >>> [v.to_string() for v in lop_vertices(3)]
     ['000', '001', '011', '100', '110', '111']
     """
-    if m < 1:
-        raise InvalidParameterError(f"need m >= 1, got {m}")
-    if factorial(m) > max_perms:
+    # m! is multiplied out only until it passes the budget
+    if any(count > max_perms for count in accumulate(range(1, m + 1), mul)):
         raise CapacityError(
-            f"enumerating {m}! = {factorial(m)} linear orders exceeds the budget "
-            f"of {max_perms}; raise max_perms to allow it"
+            f"the {m}! linear orders on [{m}] exceed the budget of {max_perms}; "
+            "raise max_perms to allow it"
         )
+    layout = CoordLayout.lop(m)
     words: list[int] = []
     _insert_below((), 0, m, lop_pair_bits(m), words)
-    return VertexSet.from_words(CoordLayout.lop(m), words)
+    return VertexSet.from_words(layout, words)
 
 
 def _insert_below(
@@ -206,35 +207,27 @@ def lop_vertices_oracle(m: int) -> VertexSet:
     Kept independent of the insertion enumerator on purpose; the two routes
     are compared in tests.
     """
-    if m < 1:
-        raise InvalidParameterError(f"need m >= 1, got {m}")
-    if m > DEFAULT_ORACLE_MAX_M:
-        raise CapacityError(
-            f"oracle over 2^C({m},2) candidates exceeds the cap m <= {DEFAULT_ORACLE_MAX_M}"
-        )
     layout = CoordLayout.lop(m)
+    candidates = _all_words(layout.dim)
     forms = three_cycle_forms(m)
-    words = [
-        w for w in range(1 << layout.dim) if all(f.holds(f.evaluate_word(w)) for f in forms)
-    ]
+    words = [w for w in candidates if all(f.holds(f.evaluate_word(w)) for f in forms)]
     return VertexSet.from_words(layout, words)
 
 
 def stable_vertices(g: Graph) -> VertexSet:
     """All 0/1 vectors with at most one endpoint of every edge set to 1."""
     n = g.n
-    layout = CoordLayout.stable(n)
     edge_masks = [
         (1 << (n - i)) | (1 << (n - j)) for i, j in g.sorted_edges()
     ]
     words = []
-    for w in range(1 << n):
+    for w in _all_words(n):
         for mask in edge_masks:
             if w & mask == mask:
                 break
         else:
             words.append(w)
-    return VertexSet.from_words(layout, words)
+    return VertexSet.from_words(CoordLayout.stable(n), words)
 
 
 def dcp_vertices(
@@ -298,6 +291,8 @@ def dcp_vertices(
         free = full & ~(one | zero)
         if not free:
             words.append(one)
+            if len(words) > MAX_VECTORS:
+                raise CapacityError(f"{n} columns give over {MAX_VECTORS} vertices, the cap")
             continue
         col = 1 << (free.bit_length() - 1)
         # the 1 branch is pushed first so that the 0 branch is searched first
@@ -310,16 +305,6 @@ def dcp_vertices(
 def dcp_vertices_naive(b: FourOnesMatrix) -> VertexSet:
     """Cross-check route: filter all 2^n vectors by the row sums directly."""
     n = b.n
-    if n > DEFAULT_MAX_NAIVE_DCP_COLS:
-        raise CapacityError(
-            f"{n} columns exceed the naive filter cap of {DEFAULT_MAX_NAIVE_DCP_COLS}"
-        )
-    row_masks = [
-        sum(1 << (n - c) for c in row) for row in b.rows
-    ]
-    words = [
-        w
-        for w in range(1 << n)
-        if all((w & mask).bit_count() == 2 for mask in row_masks)
-    ]
+    row_masks = [sum(1 << (n - c) for c in row) for row in b.rows]
+    words = [w for w in _all_words(n) if all((w & mask).bit_count() == 2 for mask in row_masks)]
     return VertexSet.from_words(CoordLayout.dcp(n), words)

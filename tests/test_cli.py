@@ -108,6 +108,22 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "lop", "--m", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("generate", "lop", "--m", "2000"),
+        ("verify", "theorem1", "--n", "1000"),
+    ])
+    def test_huge_order_count_is_exit_2(self, capsys, argv):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+    def test_huge_graph_is_exit_2(self, capsys, tmp_path):
+        graph = tmp_path / "big.graph"
+        graph.write_text("n 40\n")
+        code, _, stderr = run(capsys, "generate", "stable", "--graph", str(graph))
+        assert code == 2
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
     def test_max_perms_flag(self, capsys):
         code, _, _ = run(capsys, "generate", "lop", "--m", "4", "--max-perms", "6")
         assert code == 2

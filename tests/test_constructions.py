@@ -400,6 +400,19 @@ class TestDcpVerify:
         with pytest.raises(CapacityError):
             dcp_verify(9, max_cols=200)
 
+    def test_order_budget_fails_before_the_embedding(self, monkeypatch):
+        def no_embedding(m):
+            raise AssertionError("dcp_embedding ran before the order budget was checked")
+
+        monkeypatch.setattr(constructions, "dcp_embedding", no_embedding)
+        with pytest.raises(CapacityError):
+            dcp_verify(9)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_m_below_three_rejected(self, m):
+        with pytest.raises(InvalidParameterError):
+            dcp_verify(m)
+
     def test_m5_needs_budget(self):
         with pytest.raises(CapacityError):
             dcp_verify(5)

@@ -25,6 +25,7 @@ from polyface import (
     perm_to_lop_vertex,
     sequence_to_perm,
 )
+from polyface.core import _KINDS
 
 
 class TestPairIndex:
@@ -88,6 +89,17 @@ class TestCoordLayout:
     def test_unknown_kind(self):
         with pytest.raises(Exception):
             CoordLayout("cube", 3)
+
+    @pytest.mark.parametrize("kind", ["bqp", "lop", "stable", "dcp"])
+    def test_parameter_below_one_rejected(self, kind):
+        with pytest.raises(InvalidParameterError, match=f"{kind} layout needs"):
+            CoordLayout(kind, 0)
+
+    @pytest.mark.parametrize("kind", ["bqp", "lop", "stable", "dcp"])
+    def test_table_dimension_counts_default_labels(self, kind):
+        row = _KINDS[kind]
+        for param in range(1, 9):
+            assert row.dim(param) == len(row.labels(param)) == CoordLayout(kind, param).dim
 
     def test_is_a_value(self):
         a, b = CoordLayout.lop(3), CoordLayout("lop", 3, ["y(1,2)", "y(1,3)", "y(2,3)"])
@@ -188,10 +200,11 @@ class TestVertexSet:
             ("cube", 3, None), ("lop", -1, None), (["lop"], 3, None),
             ("dcp", 3, ["a", "b"]), ("dcp", 3, ["a", "b", "a"]),
             ("lop", 100000, None), ("bqp", 100000, None), ("stable", 10**9, None),
+            ("lop", 0, None), ("bqp", 0, None), ("stable", 0, None), ("dcp", 0, None),
         ],
         ids=[
             "unknown kind", "negative param", "list kind", "short labels", "duplicate labels",
-            "huge lop", "huge bqp", "huge stable",
+            "huge lop", "huge bqp", "huge stable", "lop 0", "bqp 0", "stable 0", "dcp 0",
         ],
     )
     def test_malformed_layout_in_files(self, kind, param, labels):

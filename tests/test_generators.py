@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyface.generators as generators
 from polyface import (
     CapacityError,
     FourOnesMatrix,
@@ -26,7 +27,7 @@ from polyface.core import (
     pair_index,
     pairs,
 )
-from polyface.generators import DEFAULT_MAX_NAIVE_DCP_COLS
+from polyface.generators import DEFAULT_MAX_PERMS, MAX_VECTORS
 
 
 def lop_vertices_by_permutation(m: int) -> VertexSet:
@@ -61,6 +62,10 @@ class TestBqpVertices:
     def test_n0_rejected(self):
         with pytest.raises(InvalidParameterError):
             bqp_vertices(0)
+
+    def test_diagonals_capped(self):
+        with pytest.raises(CapacityError):
+            bqp_vertices(21)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_count_is_power_of_two(self, n):
@@ -109,6 +114,17 @@ class TestLopVertices:
         with pytest.raises(CapacityError):
             lop_vertices(4, max_perms=6)
 
+    @pytest.mark.parametrize("m", [2000, 10**6])
+    def test_budget_never_computes_m_factorial(self, m):
+        # 2000! has 5736 digits, over the default int-to-string limit
+        with pytest.raises(CapacityError, match=f"budget of {DEFAULT_MAX_PERMS}"):
+            lop_vertices(m)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_rejected_by_the_layout(self, m):
+        with pytest.raises(InvalidParameterError, match="lop layout needs m >= 1"):
+            lop_vertices(m)
+
 
 class TestLopOracle:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -127,6 +143,32 @@ class TestLopOracle:
     def test_cap(self):
         with pytest.raises(CapacityError):
             lop_vertices_oracle(7)
+
+
+class TestEnumerationCap:
+    def test_one_constant_keeps_both_oracle_limits(self):
+        # lop_vertices_oracle(6) and (7) are covered in TestLopOracle
+        assert MAX_VECTORS == 2**20
+        with pytest.raises(CapacityError):
+            dcp_vertices_naive(FourOnesMatrix.from_rows(21, [(1, 2, 3, 4)]))
+
+    def test_stable_scan_capped(self):
+        with pytest.raises(CapacityError):
+            stable_vertices(Graph.empty(21))
+
+    def test_cap_need_not_be_a_power_of_two(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_VECTORS", 100)
+        assert len(dcp_vertices_naive(FourOnesMatrix.from_rows(6, [(1, 2, 3, 4)]))) == 24
+        with pytest.raises(CapacityError):
+            dcp_vertices_naive(FourOnesMatrix.from_rows(7, [(1, 2, 3, 4)]))
+
+    def test_backtracking_stops_at_the_cap(self, monkeypatch):
+        # one row over 12 columns has 6 * 2^8 = 1536 solutions
+        b = FourOnesMatrix.from_rows(12, [(1, 2, 3, 4)])
+        assert len(dcp_vertices(b)) == 1536
+        monkeypatch.setattr(generators, "MAX_VECTORS", 100)
+        with pytest.raises(CapacityError):
+            dcp_vertices(b)
 
 
 class TestStableVertices:
@@ -233,7 +275,7 @@ class TestDcpVertices:
         # every order y gives two vertices, (z, h) = (0, 1) and (1, 0), each
         # with yb = 1 - y and t(i,j,k) = 1 - (y_ij + y_jk - y_ik)
         emb = dcp_embedding(m)
-        assert emb.layout.dim > DEFAULT_MAX_NAIVE_DCP_COLS
+        assert 1 << emb.layout.dim > MAX_VECTORS
         expected = set()
         for order in lop_vertices(m):
             y = dict(zip(pairs(m), order.bits))
