@@ -8,8 +8,10 @@ Conventions used throughout the package:
   ``dim - 1 - i``, so comparing packed words is exactly lexicographic
   comparison of the coordinate sequences and ``to_string`` is a plain binary
   rendering,
-* a linear order on [m] is the word of its pair bits: y(a, b), a < b, is 1
-  iff a precedes b, and ``lop_pair_bits`` is the table of these bits,
+* a linear order on [m] is a ``Permutation``, the sequence of its elements
+  from first to last, and as a vertex the word of its pair bits: y(a, b),
+  a < b, is 1 iff a precedes b, and ``lop_pair_bits`` is the table of these
+  bits,
 * vertex sets are deduplicated and sorted in that lexicographic order, which
   makes every generator and face extraction deterministic down to the byte.
 """
@@ -416,66 +418,57 @@ class VertexSet:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection pi on [m]; ``pi[e - 1]`` is the position of element e.
+    """A linear order on [m], stored as its sequence: the elements of [m]
+    from first to last.
 
-    The sequence notation lists elements by position, i.e. the inverse images
-    of 1..m from left to right.
+    The positional argument is that sequence, any iterable stored as a tuple,
+    so ``Permutation((2, 4, 3, 1))`` puts 2 first and 1 last.  ``__post_init__`` holds the one check that a
+    sequence is an order on [m]: m >= 1 and every element an ``int``, not a
+    ``bool``, with each of 1..m listed once.
+
+    >>> sequence_to_perm("4132").sequence
+    (4, 1, 3, 2)
+    >>> Permutation((2, 4, 3, 1)).sequence_str()
+    '2431'
     """
 
-    pi: tuple[int, ...]
+    sequence: tuple[int, ...]
 
     def __post_init__(self):
-        m = len(self.pi)
-        if m == 0 or sorted(self.pi) != list(range(1, m + 1)):
-            raise InvalidPermutationError(f"not a bijection on [{m}]: {self.pi!r}")
+        seq = tuple(self.sequence)
+        m = len(seq)
+        if m == 0 or any(type(e) is not int for e in seq) or sorted(seq) != list(range(1, m + 1)):
+            raise InvalidPermutationError(f"not an order on [{m}]: {self.sequence!r}")
+        object.__setattr__(self, "sequence", seq)
 
     @property
     def m(self) -> int:
-        return len(self.pi)
-
-    def sequence(self) -> tuple[int, ...]:
-        """Elements in position order (the inverse permutation)."""
-        return _inverse(self.pi)
+        return len(self.sequence)
 
     def sequence_str(self) -> str:
-        seq = self.sequence()
-        if self.m <= 9:
-            return "".join(str(e) for e in seq)
-        return " ".join(str(e) for e in seq)
+        sep = "" if self.m <= 9 else " "
+        return sep.join(str(e) for e in self.sequence)
 
 
 def sequence_to_perm(s: str | Sequence[int]) -> Permutation:
-    """Parse sequence notation (elements listed by position) into a Permutation.
+    """Parse sequence notation, the elements from first to last, into a
+    Permutation; a sequence that is not an order on [m] is a ParseError.
 
     Accepts an iterable of integers, or a compact digit string such as
     ``"654321"``, or a whitespace/comma separated string for m >= 10.
     """
+    elements = s
     if isinstance(s, str):
         text = s.strip()
-        if not text:
-            raise ParseError("empty permutation sequence")
-        if any(sep in text for sep in (" ", ",")):
-            tokens = text.replace(",", " ").split()
-        else:
-            tokens = list(text)
+        tokens = text.replace(",", " ").split() if " " in text or "," in text else list(text)
         try:
             elements = [int(t) for t in tokens]
         except ValueError:
             raise ParseError(f"bad permutation sequence: {s!r}") from None
-    else:
-        elements = list(s)
-    m = len(elements)
-    if sorted(elements) != list(range(1, m + 1)):
-        raise ParseError(f"sequence is not a permutation of [{m}]: {elements!r}")
-    return Permutation(_inverse(elements))
-
-
-def _inverse(p: Sequence[int]) -> tuple[int, ...]:
-    """The inverse of a permutation of [m], both written 1-based."""
-    inv = [0] * len(p)
-    for k, image in enumerate(p, start=1):
-        inv[image - 1] = k
-    return tuple(inv)
+    try:
+        return Permutation(elements)
+    except InvalidPermutationError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def lop_pair_bits(m: int) -> list[list[int]]:
@@ -491,12 +484,12 @@ def lop_pair_bits(m: int) -> list[list[int]]:
 
 def perm_to_lop_vertex(p: Permutation) -> Vertex01:
     """Characteristic vector of the linear order induced by a permutation:
-    each element precedes every element after it in ``p.sequence()``.
+    each element precedes every element after it in ``p.sequence``.
 
     >>> perm_to_lop_vertex(sequence_to_perm("312")).to_string()
     '100'
     """
-    m, seq = p.m, p.sequence()
+    m, seq = p.m, p.sequence
     bits = lop_pair_bits(m)
     word = 0
     for k, a in enumerate(seq, start=1):
@@ -520,8 +513,7 @@ def lop_vertex_to_perm(v: Vertex01, m: int) -> Permutation:
     precedes = [0] * (m + 1)
     for (a, b), y in zip(pairs(m), v.bits):
         precedes[a if y else b] += 1
-    seq = sorted(range(1, m + 1), key=precedes.__getitem__, reverse=True)
-    p = Permutation(_inverse(seq))
+    p = Permutation(sorted(range(1, m + 1), key=precedes.__getitem__, reverse=True))
     if perm_to_lop_vertex(p) != v:
         raise InvalidVertexError(f"{v} is not the vector of a linear order")
     return p

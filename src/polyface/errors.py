@@ -16,7 +16,7 @@ class InvalidParameterError(PolyfaceError):
 
 
 class InvalidPermutationError(PolyfaceError):
-    """A position array is not a bijection on [m]."""
+    """A sequence does not list each of 1..m exactly once."""
 
 
 class InvalidVertexError(PolyfaceError):

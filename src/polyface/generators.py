@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, or_
 
-from .core import CoordLayout, VertexSet, lop_pair_bits, pairs
+from .core import CoordLayout, VertexSet, _kind, lop_pair_bits, pairs
 from .errors import CapacityError, InvalidParameterError, ParseError
 from .faces import three_cycle_forms
 
@@ -146,11 +146,14 @@ def bqp_vertices(n: int) -> VertexSet:
 
     The 2^n vertices are indexed by their diagonal assignments; coordinate
     (i, j), i < j, is forced to the product of coordinates (i, i) and (j, j).
+    The layout's rule for n and the cap are checked before any label is built.
     """
+    _kind("bqp", n)
+    diagonals = _all_words(n)
     layout = CoordLayout.bqp(n)
     off = pairs(n)
     words = []
-    for d in _all_words(n):
+    for d in diagonals:
         diag = [(d >> (n - 1 - i)) & 1 for i in range(n)]
         word = d
         for i, j in off:
@@ -205,10 +208,11 @@ def lop_vertices_oracle(m: int) -> VertexSet:
     three-cycle inequalities 0 <= y_ij + y_jk - y_ik <= 1.
 
     Kept independent of the insertion enumerator on purpose; the two routes
-    are compared in tests.
+    are compared in tests.  The layout's rule for m and the cap are checked
+    before any label is built.
     """
+    candidates = _all_words(_kind("lop", m).dim(m))
     layout = CoordLayout.lop(m)
-    candidates = _all_words(layout.dim)
     forms = three_cycle_forms(m)
     words = [w for w in candidates if all(f.holds(f.evaluate_word(w)) for f in forms)]
     return VertexSet.from_words(layout, words)

@@ -230,7 +230,7 @@ class TestLemma1Lift:
         g = Graph.from_edges(2, [(1, 2)])
         x = Vertex01.from_string("10")
         perm = lemma1_lift(x, g)
-        assert perm.pi == (2, 4, 3, 1)
+        assert perm.sequence == (4, 1, 3, 2)
         assert perm.sequence_str() == "4132"
         y = perm_to_lop_vertex(perm)
         m = 4
@@ -263,6 +263,15 @@ class TestLemma1Lift:
         assert perm.m == 2 * len(bits)
 
 
+def order_at_positions(pos: list[int]) -> Permutation:
+    """The order that puts each element e at position pos[e] (pos[0] is
+    unused); positions that are not a bijection leave a 0 and are refused."""
+    seq = [0] * (len(pos) - 1)
+    for e, p in enumerate(pos[1:], start=1):
+        seq[p - 1] = e
+    return Permutation(tuple(seq))
+
+
 def theorem1_lift_by_positions(x: Vertex01) -> Permutation:
     """The Theorem-1 lift by position arithmetic: with k diagonal zeros i_s
     and ones i'_t, each descending, pos(2i_s - 1) = n - k + 2s,
@@ -279,7 +288,7 @@ def theorem1_lift_by_positions(x: Vertex01) -> Permutation:
     for t, i in enumerate(ones_desc, start=1):
         pos[2 * i - 1] = t
         pos[2 * i] = n + k + t
-    return Permutation(tuple(pos[1:]))
+    return order_at_positions(pos)
 
 
 def lemma1_lift_by_positions(x: Vertex01) -> Permutation:
@@ -297,7 +306,7 @@ def lemma1_lift_by_positions(x: Vertex01) -> Permutation:
     for t, i in enumerate(ones_desc, start=1):
         pos[i] = k + t
         pos[n + i] = n + t
-    return Permutation(tuple(pos[1:]))
+    return order_at_positions(pos)
 
 
 class TestLiftsMatchPositionFormulas:

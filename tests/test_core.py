@@ -273,14 +273,17 @@ class TestCustomLabels:
 class TestPermutation:
     def test_reversal_sequence(self):
         p = sequence_to_perm("654321")
-        assert p.pi[6 - 1] == 1
-        assert p.pi[1 - 1] == 6
+        assert p.sequence[0] == 6
+        assert p.sequence[6 - 1] == 1
 
     def test_identity(self):
         assert sequence_to_perm("123") == Permutation((1, 2, 3))
 
-    def test_positions_from_sequence(self):
-        assert sequence_to_perm("4132").pi == (2, 4, 3, 1)
+    def test_sequence_from_digits(self):
+        assert sequence_to_perm("4132").sequence == (4, 1, 3, 2)
+
+    def test_positional_argument_is_the_sequence(self):
+        assert Permutation((2, 4, 3, 1)).sequence_str() == "2431"
 
     def test_sequence_round_trip_examples(self):
         for s in ("654321", "123", "4132", "165432"):
@@ -289,7 +292,7 @@ class TestPermutation:
     @given(st.permutations(list(range(1, 8))))
     def test_sequence_round_trip(self, seq):
         p = sequence_to_perm(seq)
-        assert list(p.sequence()) == list(seq)
+        assert list(p.sequence) == list(seq)
 
     def test_repeated_element_rejected(self):
         with pytest.raises(ParseError):
@@ -299,13 +302,22 @@ class TestPermutation:
         with pytest.raises(ParseError):
             sequence_to_perm("125")
 
-    def test_bad_positions_rejected(self):
+    def test_bad_sequence_rejected(self):
         with pytest.raises(InvalidPermutationError):
             Permutation((1, 1, 3))
 
+    def test_every_non_order_rejected(self):
+        for bad in ("", [], (), [1.0, 2.0], [True, 2], [1, "2"], "0", [2]):
+            with pytest.raises(ParseError):
+                sequence_to_perm(bad)
+        for bad in ((), (True, 2), (1, 2.0), (1, False), (0, 1)):
+            with pytest.raises(InvalidPermutationError):
+                Permutation(bad)
+
     def test_spaced_sequence(self):
         p = sequence_to_perm("10 1 2 3 4 5 6 7 8 9")
-        assert p.pi[10 - 1] == 1
+        assert p.sequence[0] == 10
+        assert p.sequence[1] == 1
 
 
 class TestPermToLopVertex:

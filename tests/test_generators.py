@@ -152,6 +152,27 @@ class TestEnumerationCap:
         with pytest.raises(CapacityError):
             dcp_vertices_naive(FourOnesMatrix.from_rows(21, [(1, 2, 3, 4)]))
 
+    def test_cap_checked_before_the_layout_is_built(self, monkeypatch):
+        # bqp(2000) alone has two million labels
+        def no_layout(param):
+            raise AssertionError("layout built before the cap was checked")
+
+        monkeypatch.setattr(CoordLayout, "bqp", no_layout)
+        monkeypatch.setattr(CoordLayout, "lop", no_layout)
+        with pytest.raises(CapacityError):
+            bqp_vertices(21)
+        with pytest.raises(CapacityError):
+            lop_vertices_oracle(7)
+
+    @pytest.mark.parametrize("generate, param, message", [
+        (bqp_vertices, 0, "bqp layout needs n >= 1"),
+        (bqp_vertices, -1, "bqp layout needs n >= 1"),
+        (lop_vertices_oracle, -10, "lop layout needs m >= 1"),
+    ])
+    def test_parameter_below_one_rejected_by_the_layout(self, generate, param, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            generate(param)
+
     def test_stable_scan_capped(self):
         with pytest.raises(CapacityError):
             stable_vertices(Graph.empty(21))
