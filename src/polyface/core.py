@@ -506,7 +506,7 @@ def lop_vertex_to_perm(v: Vertex01, m: int) -> Permutation:
     >>> lop_vertex_to_perm(Vertex01.from_string("100"), 3).sequence_str()
     '312'
     """
-    if v.dim != m * (m - 1) // 2:
+    if v.dim != _kind("lop", m).dim(m):
         raise DimensionMismatchError(
             f"vertex of dim {v.dim} cannot encode a linear order on [{m}]"
         )

@@ -31,8 +31,10 @@ columns stay: at a phase-two optimum the reduced cost of row r's
 artificial, over ``det``, is row r's dual y_r (negated if the row was
 negated), a free y with ``b.y == objective value`` and ``A^T y >= c``.
 
-Every predicate solves one hull LP: a column per host vertex, a row per
-coordinate and a convexity row.
+Every predicate rests on one hull LP: a column per host vertex, a row per
+coordinate and a convexity row.  ``adjacent`` first looks for two other
+vertices with the same sum, which settles "not adjacent" by one addition,
+and poses its LP only when there are none.
 
 * ``conv_membership`` - hull membership as pure LP feasibility,
 * ``adjacent``        - two vertices are adjacent iff their midpoint escapes
@@ -319,13 +321,61 @@ def conv_membership(p: RationalPoint, v: VertexSet) -> bool:
     return _hull(p, v.layout.dim, v.words).status == "feasible"
 
 
+def _nonadjacency_pair(u: int, v: int, words) -> tuple[int, int] | None:
+    """Two ``words`` w, z, neither u nor v, with u + v == w + z as 0/1
+    vectors, or None if there are none.
+
+    Such a w agrees with u and v wherever they agree, so it lies in their
+    smallest cube face, and its partner z = u + v - w keeps the common bits
+    and takes the differing bits that w lacks.
+    """
+    common, diff = u & v, u ^ v
+    face = [w for w in words if w & ~diff == common]
+    members = set(face)
+    for w in face:
+        if w != u and w != v and (z := common | (diff & ~w)) in members:
+            return w, z
+    return None
+
+
 def adjacent(u: Vertex01, v: Vertex01, vset: VertexSet) -> bool:
     """Midpoint criterion: u and v are adjacent vertices iff (u+v)/2 lies
-    outside the hull of the remaining vertices."""
+    outside the hull of the remaining vertices.
+
+    A vertex pair decides first.  If u + v = w + z for two other vertices,
+    the midpoint is (w + z)/2, in the hull of the rest, so u and v are not
+    adjacent; this holds on every 0/1 set.  Only without such a pair does
+    the midpoint LP decide.
+
+    On the double-covering polytope conv{x in {0,1}^n : Bx = 2}, four ones
+    per row of B, the pair always exists when u and v are not adjacent
+    (Maksimenko, "The common face of some 0/1-polytopes with NP-complete
+    nonadjacency relation", J. Math. Sci., 2014).  For then some other
+    vertex w lies in the smallest cube face holding u and v, or that cube
+    face would cut out the edge [u, v].  Let D be the columns where u and
+    v differ.  On each row, u, v and w agree outside D and have row sum 2,
+    so each has the same number a of ones in the row's columns in D; as u
+    and v are complementary on D, the row meets D in 2a columns.  So w
+    complemented on D, which is z = u + v - w, also has a ones there, row
+    sum 2, and is a vertex.  A face inherits the pair, since w + z = u + v
+    forces w and z onto every face holding u and v, and an affine
+    bijection keeps sums.  So lop(m), affinely a face of a double-covering
+    polytope, and bqp(n), affinely a face of lop(2n) (Theorem 1), never
+    need the LP for "not adjacent".
+
+    >>> from polyface import lop_vertices
+    >>> lop3 = lop_vertices(3)
+    >>> adjacent(Vertex01.from_string("111"), Vertex01.from_string("000"), lop3)
+    False
+    >>> adjacent(Vertex01.from_string("110"), Vertex01.from_string("100"), lop3)
+    True
+    """
     if u == v:
         raise InvalidParameterError("adjacency needs two distinct vertices")
     if u not in vset or v not in vset:
         raise InvalidVertexError("both vertices must belong to the set")
+    if _nonadjacency_pair(u.word, v.word, vset.words) is not None:
+        return False
     rest = [w for w in vset.words if w != u.word and w != v.word]
     midpoint = RationalPoint.midpoint(u, v)
     return _hull(midpoint, vset.layout.dim, rest).status != "feasible"

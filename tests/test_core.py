@@ -367,6 +367,12 @@ class TestPermToLopVertex:
                 with pytest.raises(InvalidVertexError):
                     lop_vertex_to_perm(Vertex01(dim, w), m)
 
+    @pytest.mark.parametrize("dim, m", [(0, 0), (1, -1)])
+    def test_order_size_below_one_rejected(self, dim, m):
+        # dims 0 and 1 fit m(m-1)/2 for m = 0 and m = -1; m is refused first
+        with pytest.raises(InvalidParameterError, match="lop layout needs m >= 1"):
+            lop_vertex_to_perm(Vertex01(dim, 0), m)
+
 
 class TestLinearForm:
     def test_evaluate(self):

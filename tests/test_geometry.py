@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyface import (
+    CoordLayout,
     DimensionMismatchError,
     InvalidParameterError,
     InvalidVertexError,
@@ -14,16 +15,20 @@ from polyface import (
     LPProblem,
     RationalPoint,
     Vertex01,
+    VertexSet,
     adjacent,
     bqp_vertices,
     clique_check,
     conv_membership,
+    dcp_embedding,
+    dcp_vertices,
     extract_face,
     is_face_subset,
     lop_vertices,
     lp_feasible,
     theorem1_system,
 )
+from polyface.geometry import _hull, _nonadjacency_pair
 
 
 def solve_unique(rows, rhs):
@@ -364,6 +369,66 @@ class TestAdjacent:
     def test_two_vertex_set(self):
         vs = bqp_vertices(1)
         assert adjacent(vs.vertices[0], vs.vertices[1], vs)
+
+
+def lp_adjacent(u, v, vset) -> bool:
+    """The midpoint LP alone: (u+v)/2 outside the hull of the other words."""
+    rest = [w for w in vset.words if w != u.word and w != v.word]
+    midpoint = RationalPoint.midpoint(u, v)
+    return _hull(midpoint, vset.layout.dim, rest).status != "feasible"
+
+
+def dcp3_host():
+    emb = dcp_embedding(3)
+    return dcp_vertices(emb.matrix, layout=emb.layout)
+
+
+class TestNonadjacencyPair:
+    """The pair route against the midpoint LP, on hosts where the pair
+    criterion is complete: every pair found is a sum certificate, and a
+    pair exists exactly when the LP says "not adjacent"."""
+
+    def check(self, vset, pairs) -> set:
+        verdicts = set()
+        for u, v in pairs:
+            found = _nonadjacency_pair(u.word, v.word, vset.words)
+            assert (found is None) == lp_adjacent(u, v, vset), (u, v)
+            assert (found is None) == adjacent(u, v, vset)
+            if found is not None:
+                w, z = (Vertex01(vset.layout.dim, x) for x in found)
+                assert w in vset and z in vset
+                assert not {w, z} & {u, v}
+                assert [a + b for a, b in zip(w.bits, z.bits)] == [
+                    a + b for a, b in zip(u.bits, v.bits)
+                ]
+            verdicts.add(found is None)
+        return verdicts
+
+    @pytest.mark.parametrize("family", ["lop4", "bqp4", "dcp3"])
+    def test_every_pair(self, family):
+        vset = {
+            "lop4": lambda: lop_vertices(4),
+            "bqp4": lambda: bqp_vertices(4),
+            "dcp3": dcp3_host,
+        }[family]()
+        verdicts = self.check(vset, combinations(vset.vertices, 2))
+        assert verdicts == ({True} if family == "bqp4" else {True, False})
+
+    def test_seeded_pairs_of_lop5_and_lop6(self, lop6):
+        rng = random.Random(17)
+        for vset, count in ((lop_vertices(5), 80), (lop6, 16)):
+            pairs = [rng.sample(vset.vertices, 2) for _ in range(count)]
+            assert self.check(vset, pairs) == {True, False}
+
+    def test_lp_decides_where_no_pair_exists(self):
+        # the midpoint of 0000 and 1111 is the mean of the four other words,
+        # and no two of those sum to 1111
+        words = [0b0000, 0b1111, 0b1110, 0b1001, 0b0101, 0b0010]
+        vset = VertexSet.from_words(CoordLayout.stable(4), words)
+        u, v = Vertex01(4, 0b0000), Vertex01(4, 0b1111)
+        assert _nonadjacency_pair(u.word, v.word, vset.words) is None
+        assert not lp_adjacent(u, v, vset)
+        assert not adjacent(u, v, vset)
 
 
 class TestIsFaceSubset:

@@ -32,6 +32,7 @@ from polyface import (
     LPConstraint,
     LPProblem,
     LPResult,
+    RationalPoint,
     adjacent,
     bqp_vertices,
     is_face_subset,
@@ -187,19 +188,20 @@ def test_face_certificates_are_pinned():
     assert digest(lines()) == FACE_CERTIFICATES
 
 
-def adjacency_verdicts():
+def adjacency_pairs():
     for vs in (lop_vertices(4), bqp_vertices(3)):
         for u, v in combinations(vs.vertices, 2):
-            yield str(adjacent(u, v, vs))
+            yield u, v, vs
     vs = lop_vertices(5)
     rng = random.Random(5)
     for _ in range(30):
         u, v = rng.sample(vs.vertices, 2)
-        yield str(adjacent(u, v, vs))
+        yield u, v, vs
 
 
 def test_adjacency_verdicts_are_pinned():
-    assert digest(adjacency_verdicts()) == ADJACENCY
+    verdicts = (str(adjacent(u, v, vs)) for u, v, vs in adjacency_pairs())
+    assert digest(verdicts) == ADJACENCY
 
 
 def fraction_eliminate(row: list, prow: list, j: int) -> list:
@@ -315,9 +317,11 @@ def test_fraction_oracle_agrees_on_random_programs():
 
 
 def test_fraction_oracle_agrees_on_hull_programs(monkeypatch):
-    """Every program that ``adjacent`` and ``is_face_subset`` pose on the
-    pinned hosts: all pairs of lop(4) and bqp(3), 30 seeded pairs of
-    lop(5), and the 1-3 subsets of bqp(3) and lop(3)."""
+    """The midpoint program of every pinned pair (all pairs of lop(4) and
+    bqp(3), 30 seeded pairs of lop(5)), posed here on the other words
+    because ``adjacent`` skips it when two other vertices have the pair's
+    sum, and every program ``is_face_subset`` poses on the 1-3 subsets of
+    bqp(3) and lop(3)."""
     solved = []
     solve = polyface.geometry.lp_feasible
 
@@ -327,8 +331,9 @@ def test_fraction_oracle_agrees_on_hull_programs(monkeypatch):
         return result
 
     monkeypatch.setattr(polyface.geometry, "lp_feasible", recording)
-    for _ in adjacency_verdicts():
-        pass
+    for u, v, vs in adjacency_pairs():
+        rest = [w for w in vs.words if w != u.word and w != v.word]
+        polyface.geometry._hull(RationalPoint.midpoint(u, v), vs.layout.dim, rest)
     for subset, vs in face_subsets():
         is_face_subset(subset, vs)
     assert len(solved) == 276 + 28 + 30 + (8 + 28 + 56) + (6 + 15 + 20) + 3
