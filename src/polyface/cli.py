@@ -243,7 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-perms",
         type=int,
         default=DEFAULT_MAX_PERMS,
-        help=f"linear-order enumeration budget (default {DEFAULT_MAX_PERMS})",
+        help=(
+            "linear-order budget: every order for generate lop and verify dcp, "
+            f"the face's orders for verify theorem1 and lemma1 (default {DEFAULT_MAX_PERMS})"
+        ),
     )
 
     p = sub.add_parser("generate", parents=[fmt, perms], help="enumerate a vertex set")

@@ -9,9 +9,12 @@
 * ``dcp_*``: the linear ordering polytope on m elements as a face of a
   double-covering polytope built from the transitivity inequalities.
 
-Each ``*_verify`` routine enumerates everything at desk scale and returns a
-structured report of named assertions; failures become report entries with
-witnesses, never crashes.
+Each ``*_verify`` routine returns a structured report of named assertions;
+failures become report entries with witnesses, never crashes.
+``theorem1_verify`` and ``lemma1_verify`` enumerate only the face
+(``lop_face``), so they reach past the m! orders of the host; given a
+``lop=`` host they scan it whole instead, which keeps that route as their
+oracle.  ``dcp_verify`` enumerates both vertex sets in full.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from math import isqrt
+from math import factorial, isqrt
 
 from .core import (
     AffineMapQ,
@@ -37,6 +40,7 @@ from .core import (
     word_to_string,
 )
 from .errors import (
+    CapacityError,
     DimensionMismatchError,
     InvalidParameterError,
     InvalidVertexError,
@@ -50,6 +54,7 @@ from .generators import (
     Graph,
     bqp_vertices,
     dcp_vertices,
+    lop_face,
     lop_vertices,
     stable_vertices,
 )
@@ -176,14 +181,21 @@ def _y(a: int, b: int) -> str:
     return f"y({a},{b})"
 
 
-def _lop_host(m: int, lop: VertexSet | None, max_perms: int) -> VertexSet:
-    """The vertex set of the order polytope on [m] to verify on: ``lop`` when
-    it is passed in, else the enumerated one."""
+def _lop_size(m: int, lop: VertexSet | None) -> int:
+    """m!, or the size of the host ``lop`` passed in for lop(m)."""
     if lop is None:
-        return lop_vertices(m, max_perms=max_perms)
+        return factorial(m)
     if lop.layout != CoordLayout.lop(m):
         raise DimensionMismatchError(f"expected a vertex set of lop({m})")
-    return lop
+    return len(lop)
+
+
+def _lop_face(fs: FaceSystem, lop: VertexSet | None, max_perms: int) -> VertexSet:
+    """The face that ``fs`` cuts out: by the face search, or by scanning the
+    host ``lop`` when one is passed in."""
+    if lop is None:
+        return lop_face(fs, max_perms=max_perms).face
+    return extract_face(lop, fs).face
 
 
 def _check_identities(
@@ -331,7 +343,13 @@ def _sequence_or_bits(v: Vertex01, m: int) -> str:
 def theorem1_verify(
     n: int, lop: VertexSet | None = None, max_perms: int = DEFAULT_MAX_PERMS
 ) -> Report:
-    """Certify the quadric-as-face embedding for one n by full enumeration.
+    """Certify the quadric-as-face embedding for one n.
+
+    The face is found by the face search, which emits its 2^n orders out of
+    the (2n)! of lop(2n); ``max_perms`` bounds those orders, so n with
+    2^n > max_perms is refused before anything is built.  A host ``lop``
+    passed in is scanned whole instead, and ``max_perms`` is not used.
+    ``lop_size`` in the details is (2n)!, or the host's size.
 
     Checks, in order: the face has exactly 2^n vertices; the projection is a
     bijection from the face onto the quadric vertex set; the three dependent-
@@ -342,14 +360,20 @@ def theorem1_verify(
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    # 2^n > max_perms, without building 2^n
+    if lop is None and n >= max(max_perms, 0).bit_length():
+        raise CapacityError(
+            f"the 2^{n} orders of the theorem-1 face exceed the budget of {max_perms}; "
+            "raise max_perms to allow it"
+        )
     m = 2 * n
-    lop = _lop_host(m, lop, max_perms)
+    lop_size = _lop_size(m, lop)
     report = Report("theorem1", {"n": n})
     try:
-        face = extract_face(lop, theorem1_system(n)).face
+        face = _lop_face(theorem1_system(n), lop, max_perms)
     except NotSupportingError as exc:
         report.check("face_system_supporting", False, witness=str(exc))
-        report.details = {"n": n, "lop_size": len(lop)}
+        report.details = {"n": n, "lop_size": lop_size}
         return report
     bqp = bqp_vertices(n)
     projection = theorem1_project(n)
@@ -366,13 +390,13 @@ def theorem1_verify(
         "projection_bijective_onto_bqp",
         bad is None and len(set(images)) == len(face) and set(images) == set(bqp.words),
         witness="image set mismatch" if bad is None
-        else f"non-integral image of {word_to_string(bad, lop.layout.dim)}",
+        else f"non-integral image of {word_to_string(bad, face.layout.dim)}",
     )
 
     # With d_i = y(2i-1,2i) and c = y(2i,2j): y(2i-1,2j) = d_i + c,
     # y(2i-1,2j-1) = d_i + c - d_j, and c = d_j (1 - d_i), which on 0/1
     # values is c <= d_j, c + d_i <= 1 and c - d_j + d_i >= 0.
-    host = lop.layout
+    host = face.layout
     cross_oe, cross_oo, product = [], [], []
     for i, j in pairs(n):
         place = f"pair ({i},{j})"
@@ -398,7 +422,7 @@ def theorem1_verify(
     splits = [_zeros_ones(x.bits[:n]) for x, _ in lifts]
     report.details = {
         "n": n,
-        "lop_size": len(lop),
+        "lop_size": lop_size,
         "face_size": len(face),
         "face_sequences": [_sequence_or_bits(v, m) for v in face],
         "lifts": [
@@ -463,17 +487,21 @@ def lemma1_lift(x: Vertex01, g: Graph) -> Permutation:
 def lemma1_verify(
     g: Graph, lop: VertexSet | None = None, max_perms: int = DEFAULT_MAX_PERMS
 ) -> Report:
-    """Certify the stable-set projection for one graph by full enumeration.
+    """Certify the stable-set projection for one graph.
+
+    The face is found by the face search, and ``max_perms`` bounds the orders
+    it emits; a host ``lop`` passed in is scanned whole instead.
+    ``lop_size`` in the details is (2n)!, or the host's size.
 
     The image of the face under the coordinate projection must equal the
     stable-set vertex set (a projection, not a bijection; fiber sizes are
     recorded), and the lift of every stable vertex must land on the face.
     """
     n = g.n
-    lop = _lop_host(2 * n, lop, max_perms)
+    lop_size = _lop_size(2 * n, lop)
     edges = [f"{i} {j}" for i, j in g.sorted_edges()]
     report = Report("lemma1", {"n": n, "edges": edges})
-    face = extract_face(lop, lemma1_system(g)).face
+    face = _lop_face(lemma1_system(g), lop, max_perms)
     stable = stable_vertices(g)
     projection = lemma1_project(n)
 
@@ -490,7 +518,7 @@ def lemma1_verify(
     report.details = {
         "n": n,
         "edges": edges,
-        "lop_size": len(lop),
+        "lop_size": lop_size,
         "face_size": len(face),
         "stable_size": len(stable),
         "fibers": {

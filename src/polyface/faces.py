@@ -21,6 +21,9 @@ from .core import CoordLayout, LinearForm, Vertex01, VertexSet, pair_index, trip
 from .errors import DimensionMismatchError, NotSupportingError, ParseError
 
 
+EMPTY_FACE_WARNING = "face is empty: no vertex satisfies all equalities"
+
+
 def three_cycle_forms(m: int) -> list[LinearForm]:
     """The two transitivity inequalities per triple i < j < k on [m].
 
@@ -175,5 +178,5 @@ def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
     face = v.restrict_to_words(surviving)
     warnings = ()
     if len(v) > 0 and not surviving:
-        warnings = ("face is empty: no vertex satisfies all equalities",)
+        warnings = (EMPTY_FACE_WARNING,)
     return FaceExtraction(face, tuple(checks), warnings)

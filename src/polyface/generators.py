@@ -1,7 +1,9 @@
 """Vertex-set generators for the four polytope families.
 
 Every generator returns a canonical VertexSet (deduplicated, lexicographically
-sorted), so outputs are reproducible byte for byte.  The order and column
+sorted), so outputs are reproducible byte for byte.  ``lop_face`` returns the
+face that an equality system cuts out of lop(m), found by the insertion
+search that ``lop_vertices`` runs, without enumerating lop(m).  The order and column
 budgets are keyword arguments with package-wide defaults.  Every 2^d scan
 (bqp, stable, and the two brute-force oracles kept to cross-check the
 enumerators) and the backtracking search stop at one cap, ``MAX_VECTORS``.
@@ -18,9 +20,16 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, or_
 
-from .core import CoordLayout, VertexSet, _kind, lop_pair_bits, pairs
-from .errors import CapacityError, InvalidParameterError, ParseError
-from .faces import three_cycle_forms
+from .core import CoordLayout, LinearForm, VertexSet, _kind, lop_pair_bits, pair_index, pairs
+from .errors import CapacityError, DimensionMismatchError, InvalidParameterError, ParseError
+from .faces import (
+    EMPTY_FACE_WARNING,
+    FaceExtraction,
+    FaceSystem,
+    SupportCheck,
+    extract_face,
+    three_cycle_forms,
+)
 
 #: Largest number of linear orders enumerated by default (8 elements).
 DEFAULT_MAX_PERMS = 40320
@@ -171,7 +180,7 @@ def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
     new bits are ``lop_pair_bits(m)[e][j]`` over that suffix: one OR of a
     running suffix mask per inserted word.  The insertions run depth first,
     so only the sequences on the current path are alive; the last level
-    keeps words only.
+    keeps words only.  ``lop_face`` runs the same search with equalities.
 
     >>> [v.to_string() for v in lop_vertices(3)]
     ['000', '001', '011', '100', '110', '111']
@@ -182,25 +191,105 @@ def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
             f"the {m}! linear orders on [{m}] exceed the budget of {max_perms}; "
             "raise max_perms to allow it"
         )
-    layout = CoordLayout.lop(m)
+    return VertexSet.from_words(CoordLayout.lop(m), _lop_search(m, [[]] * (m + 1), max_perms))
+
+
+def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtraction:
+    """``extract_face(lop_vertices(m), fs)`` for a system ``fs`` over lop(m),
+    enumerating only the face.
+
+    *Support on the elements a form touches.*  Let U be the elements that
+    the coordinates y(a, b) of an equality touch, k = |U|.  The form reads
+    only the relative order of U, every order on [m] restricts to an order
+    on U, and every order on U extends to one on [m].  So the form takes
+    the same set of values on lop(m) as on lop(k), with U relabelled
+    1, ..., k in increasing order, and lop(k) gives its direction and
+    whether it is attained.  A form that fails both directions there fails
+    them on lop(m) too; the system then goes to ``extract_face`` on the
+    enumerated lop(m), which raises the NotSupportingError with its witness.
+    lop(k) is enumerated under ``max_perms`` or the default budget,
+    whichever is larger, so forms on up to 8 elements are always checked.
+
+    *The face search.*  Inserting e into an order of {e+1, ..., m} fixes
+    every coordinate y(e, j), so an equality whose smallest element is e is
+    decided as soon as e goes in, and a branch that breaks one is dropped.
+    The search raises CapacityError once it has emitted more than
+    ``max_perms`` orders; partial orders that no order of the face extends
+    are not counted, so a system that prunes late can search longer than
+    its face size suggests.
+
+    >>> fs = FaceSystem(CoordLayout.lop(3), (LinearForm((1, 0, 0), "=", 0),))
+    >>> [v.to_string() for v in lop_face(fs).face]  # 2 before 1
+    ['000', '001', '011']
+    """
+    if fs.layout.kind != "lop":
+        raise DimensionMismatchError(f"expected a system over lop, got {fs.layout.kind}")
+    m = fs.layout.param
+    pair_list = pairs(m)
+    hosts: dict[int, tuple[int, ...]] = {}
+    checks = []
+    by_element: list[list[LinearForm]] = [[] for _ in range(m + 1)]
+    for form in fs.equalities:
+        terms = [(pair_list[i], c) for i, c in enumerate(form.coeffs) if c]
+        touched = sorted({x for pair, _ in terms for x in pair})
+        # lop(1) has the one empty order: the value of a form that touches nothing
+        k = max(len(touched), 1)
+        rank = {x: r for r, x in enumerate(touched, start=1)}
+        coeffs = [0] * (k * (k - 1) // 2)
+        for (a, b), c in terms:
+            coeffs[pair_index(rank[a], rank[b], k)] = c
+        if k not in hosts:
+            hosts[k] = lop_vertices(k, max_perms=max(max_perms, DEFAULT_MAX_PERMS)).words
+        restricted = LinearForm(tuple(coeffs), "=", form.rhs)
+        values = {restricted.evaluate_word(w) for w in hosts[k]}
+        attained = form.rhs in values
+        if max(values) <= form.rhs:
+            checks.append(SupportCheck(form, "<=", attained))
+        elif min(values) >= form.rhs:
+            checks.append(SupportCheck(form, ">=", attained))
+        else:
+            return extract_face(lop_vertices(m, max_perms=max_perms), fs)
+        by_element[touched[0] if touched else m].append(form)
+    words = _lop_search(m, by_element, max_perms)
+    face = VertexSet.from_words(CoordLayout.lop(m), words)
+    return FaceExtraction(face, tuple(checks), () if words else (EMPTY_FACE_WARNING,))
+
+
+def _lop_search(m: int, by_element: list[list[LinearForm]], max_perms: int) -> list[int]:
+    """Words of the orders on [m] that satisfy every equality in
+    ``by_element[e]``, each checked once e is inserted; CapacityError once
+    more than ``max_perms`` are emitted."""
     words: list[int] = []
-    _insert_below((), 0, m, lop_pair_bits(m), words)
-    return VertexSet.from_words(layout, words)
+    _insert_below((), 0, m, lop_pair_bits(m), by_element, words, max_perms)
+    return words
 
 
 def _insert_below(
-    seq: tuple[int, ...], word: int, e: int, pair_bits: list[list[int]], words: list[int]
+    seq: tuple[int, ...], word: int, e: int, pair_bits: list[list[int]],
+    by_element: list[list[LinearForm]], words: list[int], max_perms: int,
 ) -> None:
     """Append to ``words`` every order that extends ``seq``, an order of
     {e+1, ..., m} with packed word ``word``, by inserting e, e-1, ..., 1;
     ``pair_bits`` is ``lop_pair_bits(m)``."""
     # suffix masks for inserting e at positions len(seq), ..., 0
     suffixes = accumulate(map(pair_bits[e].__getitem__, reversed(seq)), or_, initial=0)
+    forms = by_element[e]
     if e == 1:
-        words.extend(map(word.__or__, suffixes))
+        if forms:
+            words.extend([w for w in map(word.__or__, suffixes)
+                          if all(f.evaluate_word(w) == f.rhs for f in forms)])
+        else:
+            words.extend(map(word.__or__, suffixes))
+        if len(words) > max_perms:
+            raise CapacityError(f"the face search passed the budget of {max_perms} orders; "
+                                "raise max_perms to allow it")
         return
     for p, suffix in zip(range(len(seq), -1, -1), suffixes):
-        _insert_below(seq[:p] + (e,) + seq[p:], word | suffix, e - 1, pair_bits, words)
+        new = word | suffix
+        if forms and not all(f.evaluate_word(new) == f.rhs for f in forms):
+            continue
+        _insert_below(seq[:p] + (e,) + seq[p:], new, e - 1, pair_bits, by_element, words,
+                      max_perms)
 
 
 def lop_vertices_oracle(m: int) -> VertexSet:

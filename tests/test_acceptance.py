@@ -213,3 +213,24 @@ def test_criterion_8_cross_oracle_consistency():
             if midpoint_route != face_route:
                 failures.append(f"{label}: {u}, {v} disagree")
     announce(8, "adjacency oracles agree pairwise", failures)
+
+
+def test_criterion_9_past_full_enumeration():
+    """The face search certifies Theorem 1 for n = 5..8, where lop(2n) has
+    up to 16! orders, and Lemma 1 on the 5-cycle (a face of 39680 orders in
+    lop(10)), under the default budget."""
+    failures = []
+    started = time.time()
+    for n in range(5, 9):
+        report = theorem1_verify(n)
+        if not report.all_passed:
+            failures.append(f"n={n}: {[a.name for a in report.assertions if not a.passed]}")
+        if report.details["face_size"] != 2 ** n:
+            failures.append(f"n={n}: face size {report.details['face_size']}")
+    cycle = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    report = lemma1_verify(cycle)
+    if not report.all_passed or report.details["face_size"] != 39680:
+        failures.append(f"C5: {report.render_text()}")
+    elapsed = time.time() - started
+    print(f"criterion 9 runtime: {elapsed:.1f}s (budget 30s)")
+    announce(9, "theorem1 n=5..8 and lemma1 on C5 past enumeration", failures)

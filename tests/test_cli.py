@@ -244,7 +244,8 @@ class TestVerify:
         assert code == 0
 
     def test_cap_exceeded(self, capsys):
-        code, _, stderr = run(capsys, "verify", "theorem1", "--n", "5")
+        # the face of n = 16 has 2^16 orders, over the default budget of 40320
+        code, _, stderr = run(capsys, "verify", "theorem1", "--n", "16")
         assert code == 2
         assert "budget" in stderr
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 import pytest
@@ -185,8 +186,17 @@ class TestTheorem1Verify:
             assert proj.apply(y.bits) == x.bits
 
     def test_cap_exceeded(self):
-        with pytest.raises(CapacityError):
-            theorem1_verify(5)
+        # the face search emits the face's 2^n orders, so 2^5 = 32 needs a budget of 32
+        with pytest.raises(CapacityError, match="budget of 31"):
+            theorem1_verify(5, max_perms=31)
+        report = theorem1_verify(5, max_perms=32)
+        assert report.all_passed
+        assert report.details["lop_size"] == 3628800
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_face_search_matches_host_scan(self, n, lop8):
+        host = lop8 if n == 4 else lop_vertices(2 * n)
+        assert theorem1_verify(n).to_json() == theorem1_verify(n, lop=host).to_json()
 
 
 class TestLemma1System:
@@ -346,8 +356,6 @@ class TestLemma1Verify:
         assert report.details["stable_size"] == 5
 
     def test_all_graphs_up_to_three_vertices(self, lop6):
-        from itertools import combinations
-
         for n in (1, 2, 3):
             lop = lop6 if n == 3 else None
             candidates = pairs(n)
@@ -355,6 +363,18 @@ class TestLemma1Verify:
                 for chosen in combinations(candidates, r):
                     report = lemma1_verify(Graph.from_edges(n, chosen), lop=lop)
                     assert report.all_passed, (n, chosen)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_face_search_matches_host_scan_on_every_graph(self, n, lop8):
+        host = lop8 if n == 4 else lop_vertices(2 * n)
+        candidates = pairs(n)
+        checked = 0
+        for r in range(len(candidates) + 1):
+            for chosen in combinations(candidates, r):
+                g = Graph.from_edges(n, chosen)
+                assert lemma1_verify(g).to_json() == lemma1_verify(g, lop=host).to_json(), chosen
+                checked += 1
+        assert checked == 2 ** len(candidates)
 
 
 class TestDcpEmbedding:

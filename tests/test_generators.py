@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -8,13 +10,19 @@ from hypothesis import strategies as st
 import polyface.generators as generators
 from polyface import (
     CapacityError,
+    DimensionMismatchError,
+    FaceSystem,
     FourOnesMatrix,
     Graph,
     InvalidParameterError,
+    LinearForm,
+    NotSupportingError,
     ParseError,
     bqp_vertices,
     dcp_vertices,
     dcp_vertices_naive,
+    extract_face,
+    lop_face,
     lop_vertices,
     lop_vertices_oracle,
     stable_vertices,
@@ -124,6 +132,78 @@ class TestLopVertices:
     def test_m_below_one_rejected_by_the_layout(self, m):
         with pytest.raises(InvalidParameterError, match="lop layout needs m >= 1"):
             lop_vertices(m)
+
+
+def random_lop_system(rng: random.Random, m: int) -> FaceSystem:
+    """One to five equalities over lop(m): three-cycle forms, single
+    coordinates, and sparse forms on up to three coordinates with
+    coefficients in -2..2, which include forms that are not supporting."""
+    layout = CoordLayout.lop(m)
+    dim = layout.dim
+    forms = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = [0] * dim
+        kind = rng.choice(("cycle", "coordinate", "sparse"))
+        if kind == "cycle":
+            i, j, k = sorted(rng.sample(range(1, m + 1), 3))
+            coeffs[pair_index(i, j, m)] = 1
+            coeffs[pair_index(j, k, m)] = 1
+            coeffs[pair_index(i, k, m)] = -1
+            rhs = rng.choice((-1, 0, 1, 2))
+        elif kind == "coordinate":
+            coeffs[rng.randrange(dim)] = 1
+            rhs = rng.choice((0, 1))
+        else:
+            for index in rng.sample(range(dim), rng.randint(1, 3)):
+                coeffs[index] = rng.choice((-2, -1, 1, 2))
+            rhs = rng.randint(-1, 2)
+        forms.append(LinearForm(tuple(coeffs), "=", rhs))
+    return FaceSystem(layout, tuple(forms))
+
+
+def face_or_refusal(extract):
+    """``extract()``, or the NotSupportingError's message, witness and form."""
+    try:
+        return extract()
+    except NotSupportingError as exc:
+        return str(exc), exc.witness, exc.form
+
+
+class TestLopFace:
+    @pytest.mark.parametrize("m, systems", [(5, 60), (6, 60), (7, 40), (8, 25)])
+    def test_matches_extract_face_on_seeded_systems(self, m, systems, lop8):
+        host = lop8 if m == 8 else lop_vertices(m)
+        rng = random.Random(1000 + m)
+        outcomes = Counter()
+        for _ in range(systems):
+            fs = random_lop_system(rng, m)
+            expected = face_or_refusal(lambda: extract_face(host, fs))
+            assert face_or_refusal(lambda: lop_face(fs)) == expected
+            if isinstance(expected, tuple):
+                outcomes["not supporting"] += 1
+            else:
+                outcomes["empty" if not expected.face else "face"] += 1
+        assert set(outcomes) == {"not supporting", "empty", "face"}, outcomes
+
+    @pytest.mark.parametrize("rhs", [-1, 0, 1])
+    def test_form_touching_nothing(self, rhs):
+        fs = FaceSystem(CoordLayout.lop(4), (LinearForm((0,) * 6, "=", rhs),))
+        assert lop_face(fs) == extract_face(lop_vertices(4), fs)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_empty_system_gives_every_order(self, m):
+        face = lop_face(FaceSystem(CoordLayout.lop(m), ())).face
+        assert face == lop_vertices(m)
+
+    def test_budget_counts_emitted_orders(self):
+        fs = FaceSystem(CoordLayout.lop(5), ())
+        with pytest.raises(CapacityError, match="budget of 119"):
+            lop_face(fs, max_perms=119)
+        assert len(lop_face(fs, max_perms=120).face) == 120
+
+    def test_needs_a_lop_layout(self):
+        with pytest.raises(DimensionMismatchError, match="system over lop"):
+            lop_face(FaceSystem(CoordLayout.bqp(3), ()))
 
 
 class TestLopOracle:
