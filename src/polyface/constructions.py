@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial, isqrt
+from operator import mul
 
 from .core import (
     AffineMapQ,
@@ -490,14 +492,24 @@ def lemma1_verify(
     """Certify the stable-set projection for one graph.
 
     The face is found by the face search, and ``max_perms`` bounds the orders
-    it emits; a host ``lop`` passed in is scanned whole instead.
-    ``lop_size`` in the details is (2n)!, or the host's size.
+    it emits.  Every order that puts n+1, ..., 2n before 1, ..., n is on the
+    face, whatever the edges, so n with (n!)^2 > max_perms is refused before
+    anything is built.  A host ``lop`` passed in is scanned whole instead,
+    and ``max_perms`` is not used.  ``lop_size`` in the details is (2n)!,
+    or the host's size.
 
     The image of the face under the coordinate projection must equal the
     stable-set vertex set (a projection, not a bijection; fiber sizes are
     recorded), and the lift of every stable vertex must land on the face.
     """
     n = g.n
+    # (n!)^2 > max_perms, multiplied out only until it passes the budget
+    factorials = accumulate(range(1, n + 1), mul)
+    if lop is None and any(count * count > max_perms for count in factorials):
+        raise CapacityError(
+            f"the lemma-1 face of a graph on {n} vertices has at least ({n}!)^2 orders, "
+            f"over the budget of {max_perms}; raise max_perms to allow it"
+        )
     lop_size = _lop_size(2 * n, lop)
     edges = [f"{i} {j}" for i, j in g.sorted_edges()]
     report = Report("lemma1", {"n": n, "edges": edges})

@@ -15,6 +15,7 @@ patterns against a set of patterns, in the vertex set's sorted order.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .core import CoordLayout, LinearForm, Vertex01, VertexSet, pair_index, triples
@@ -130,6 +131,18 @@ class SupportCheck:
     attained: bool
 
 
+def support_check(form: LinearForm, values: Collection[int]) -> SupportCheck | None:
+    """The relaxation of ``form`` that is valid over a vertex set on which it
+    takes ``values``, or None when neither is; an empty set gives <=."""
+    rhs = form.rhs
+    attained = rhs in values
+    if max(values, default=rhs) <= rhs:
+        return SupportCheck(form, "<=", attained)
+    if min(values) >= rhs:
+        return SupportCheck(form, ">=", attained)
+    return None
+
+
 @dataclass(frozen=True)
 class FaceExtraction:
     face: VertexSet
@@ -153,15 +166,9 @@ def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
     checks = []
     on_face = []
     for form in fs.equalities:
-        rhs = form.rhs
         table = _pattern_values(form, words)
-        values = table.values()
-        attained = rhs in values
-        if max(values, default=rhs) <= rhs:
-            checks.append(SupportCheck(form, "<=", attained))
-        elif min(values) >= rhs:
-            checks.append(SupportCheck(form, ">=", attained))
-        else:
+        check = support_check(form, table.values())
+        if check is None:
             chk_le = is_valid_inequality(form.relaxed("<="), v)
             chk_ge = is_valid_inequality(form.relaxed(">="), v)
             description = form.describe(fs.layout)
@@ -171,7 +178,8 @@ def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
                 form=form,
                 witness=chk_ge.witness,
             )
-        on_face.append((form.support_mask, {p for p, value in table.items() if value == rhs}))
+        checks.append(check)
+        on_face.append((form.support_mask, {p for p, value in table.items() if value == form.rhs}))
     surviving = words
     for mask, patterns in on_face:
         surviving = [w for w in surviving if w & mask in patterns]

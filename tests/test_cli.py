@@ -249,6 +249,14 @@ class TestVerify:
         assert code == 2
         assert "budget" in stderr
 
+    def test_huge_graph_is_exit_2(self, capsys, tmp_path):
+        # refused before the graph's 2n-element system is built
+        graph = tmp_path / "huge.graph"
+        graph.write_text("n 1000\n")
+        code, _, stderr = run(capsys, "verify", "lemma1", "--graph", str(graph))
+        assert code == 2
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
 
 class TestGeometryCommand:
     def test_adjacent_false(self, capsys, lop3_file):

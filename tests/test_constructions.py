@@ -376,6 +376,23 @@ class TestLemma1Verify:
                 checked += 1
         assert checked == 2 ** len(candidates)
 
+    def test_cap_exceeded(self, monkeypatch):
+        # the face holds every order with 6, ..., 10 before 1, ..., 5: (5!)^2 = 14400
+        cycle = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        with pytest.raises(CapacityError, match=r"\(5!\)\^2 orders, over the budget of 14399"):
+            lemma1_verify(cycle, max_perms=14399)
+        report = lemma1_verify(Graph.complete(5), max_perms=17280)
+        assert report.all_passed and report.details["face_size"] == 17280
+
+    def test_huge_graph_refused_before_its_system(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("built for a refused graph")
+
+        monkeypatch.setattr(constructions, "lemma1_system", fail)
+        monkeypatch.setattr(constructions, "stable_vertices", fail)
+        with pytest.raises(CapacityError, match=r"\(100!\)\^2"):
+            lemma1_verify(Graph.complete(100))
+
 
 class TestDcpEmbedding:
     def test_m3_shape(self):

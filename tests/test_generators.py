@@ -22,7 +22,6 @@ from polyface import (
     dcp_vertices,
     dcp_vertices_naive,
     extract_face,
-    lop_face,
     lop_vertices,
     lop_vertices_oracle,
     stable_vertices,
@@ -35,7 +34,7 @@ from polyface.core import (
     pair_index,
     pairs,
 )
-from polyface.generators import DEFAULT_MAX_PERMS, MAX_VECTORS
+from polyface.generators import DEFAULT_MAX_PERMS, MAX_VECTORS, lop_face
 
 
 def lop_vertices_by_permutation(m: int) -> VertexSet:
@@ -200,6 +199,28 @@ class TestLopFace:
         with pytest.raises(CapacityError, match="budget of 119"):
             lop_face(fs, max_perms=119)
         assert len(lop_face(fs, max_perms=120).face) == 120
+
+    def test_budget_bounds_partial_orders_kept(self):
+        # y(1,2) = 0, y(2,3) = 0 and y(1,3) = 1 clash, but only once 2 and 1 go
+        # in, so every order of 3, ..., m is built first and none is emitted
+        def clash(m):
+            forms = []
+            for (a, b), rhs in (((1, 2), 0), ((2, 3), 0), ((1, 3), 1)):
+                coeffs = [0] * (m * (m - 1) // 2)
+                coeffs[pair_index(a, b, m)] = 1
+                forms.append(LinearForm(tuple(coeffs), "=", rhs))
+            return FaceSystem(CoordLayout.lop(m), tuple(forms))
+
+        empty = lop_face(clash(5))
+        assert empty == extract_face(lop_vertices(5), clash(5)) and not empty.face
+        # kept: the empty order, the 1, 2 and 6 orders of {5}, {4,5} and
+        # {3,4,5}, and the 12 of {2,...,5} with 3 before 2; 22 <= 5 * 5
+        assert lop_face(clash(5), max_perms=5) == empty
+        with pytest.raises(CapacityError, match="kept over 5 partial orders"):
+            lop_face(clash(5), max_perms=4)
+        message = r"\[12\] kept over 12 partial orders per order of the budget of 100"
+        with pytest.raises(CapacityError, match=message):
+            lop_face(clash(12), max_perms=100)
 
     def test_needs_a_lop_layout(self):
         with pytest.raises(DimensionMismatchError, match="system over lop"):
