@@ -119,10 +119,12 @@ class TestGenerate:
 
     def test_huge_graph_is_exit_2(self, capsys, tmp_path):
         graph = tmp_path / "big.graph"
-        graph.write_text("n 40\n")
-        code, _, stderr = run(capsys, "generate", "stable", "--graph", str(graph))
-        assert code == 2
-        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+        # lemma1 refuses before the graph's system over lop(2n) is built
+        for command, n in ((("generate", "stable"), 40), (("verify", "lemma1"), 1000)):
+            graph.write_text(f"n {n}\n")
+            code, _, stderr = run(capsys, *command, "--graph", str(graph))
+            assert code == 2, command
+            assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
     def test_max_perms_flag(self, capsys):
         code, _, _ = run(capsys, "generate", "lop", "--m", "4", "--max-perms", "6")
@@ -248,14 +250,6 @@ class TestVerify:
         code, _, stderr = run(capsys, "verify", "theorem1", "--n", "16")
         assert code == 2
         assert "budget" in stderr
-
-    def test_huge_graph_is_exit_2(self, capsys, tmp_path):
-        # refused before the graph's 2n-element system is built
-        graph = tmp_path / "huge.graph"
-        graph.write_text("n 1000\n")
-        code, _, stderr = run(capsys, "verify", "lemma1", "--graph", str(graph))
-        assert code == 2
-        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
 
 class TestGeometryCommand:

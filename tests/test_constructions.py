@@ -376,7 +376,7 @@ class TestLemma1Verify:
                 checked += 1
         assert checked == 2 ** len(candidates)
 
-    def test_cap_exceeded(self, monkeypatch):
+    def test_cap_exceeded(self):
         # the face holds every order with 6, ..., 10 before 1, ..., 5: (5!)^2 = 14400
         cycle = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         with pytest.raises(CapacityError, match=r"\(5!\)\^2 orders, over the budget of 14399"):
