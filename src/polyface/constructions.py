@@ -12,9 +12,8 @@
 Each ``*_verify`` routine returns a structured report of named assertions;
 failures become report entries with witnesses, never crashes.
 ``theorem1_verify`` and ``lemma1_verify`` enumerate only the face
-(``lop_face``), so they reach past the m! orders of the host; given a
-``lop=`` host they scan it whole instead, which keeps that route as their
-oracle.  ``dcp_verify`` enumerates both vertex sets in full.
+(``lop_face``), so they reach past the m! orders of the host.
+``dcp_verify`` enumerates both vertex sets in full.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     InvalidVertexError,
-    NotSupportingError,
     ParseError,
 )
 from .faces import FaceSystem, extract_face, is_valid_inequality
@@ -183,23 +181,6 @@ def _y(a: int, b: int) -> str:
     return f"y({a},{b})"
 
 
-def _lop_size(m: int, lop: VertexSet | None) -> int:
-    """m!, or the size of the host ``lop`` passed in for lop(m)."""
-    if lop is None:
-        return factorial(m)
-    if lop.layout != CoordLayout.lop(m):
-        raise DimensionMismatchError(f"expected a vertex set of lop({m})")
-    return len(lop)
-
-
-def _lop_face(fs: FaceSystem, lop: VertexSet | None, max_perms: int) -> VertexSet:
-    """The face that ``fs`` cuts out: by the face search, or by scanning the
-    host ``lop`` when one is passed in."""
-    if lop is None:
-        return lop_face(fs, max_perms=max_perms).face
-    return extract_face(lop, fs).face
-
-
 def _check_identities(
     report: Report, face: VertexSet, name: str, identities: list[tuple[str, LinearForm]]
 ) -> None:
@@ -333,50 +314,30 @@ def theorem1_lift(x: Vertex01) -> Permutation:
     return sequence_to_perm([2 * i - 1 for i in ones] + middle + [2 * i for i in ones])
 
 
-def _sequence_or_bits(v: Vertex01, m: int) -> str:
-    """The order a host vertex encodes, or its 0/1 string when it encodes
-    none (a host passed in may hold such words)."""
-    try:
-        return lop_vertex_to_perm(v, m).sequence_str()
-    except InvalidVertexError:
-        return v.to_string()
-
-
-def theorem1_verify(
-    n: int, lop: VertexSet | None = None, max_perms: int = DEFAULT_MAX_PERMS
-) -> Report:
+def theorem1_verify(n: int, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     """Certify the quadric-as-face embedding for one n.
 
     The face is found by the face search, which emits its 2^n orders out of
     the (2n)! of lop(2n); ``max_perms`` bounds those orders, so n with
-    2^n > max_perms is refused before anything is built.  A host ``lop``
-    passed in is scanned whole instead, and ``max_perms`` is not used.
-    ``lop_size`` in the details is (2n)!, or the host's size.
+    2^n > max_perms is refused before anything is built.  ``lop_size`` in
+    the details is (2n)!.
 
     Checks, in order: the face has exactly 2^n vertices; the projection is a
     bijection from the face onto the quadric vertex set; the three dependent-
     coordinate identities hold on every face vertex; every quadric vertex
     lifts onto the face and round-trips; the face equals the lift image.
-    A host on which some face equality is not supporting-derived gets a
-    report with the single failing assertion ``face_system_supporting``.
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     # 2^n > max_perms, without building 2^n
-    if lop is None and n >= max(max_perms, 0).bit_length():
+    if n >= max(max_perms, 0).bit_length():
         raise CapacityError(
             f"the 2^{n} orders of the theorem-1 face exceed the budget of {max_perms}; "
             "raise max_perms to allow it"
         )
     m = 2 * n
-    lop_size = _lop_size(m, lop)
     report = Report("theorem1", {"n": n})
-    try:
-        face = _lop_face(theorem1_system(n), lop, max_perms)
-    except NotSupportingError as exc:
-        report.check("face_system_supporting", False, witness=str(exc))
-        report.details = {"n": n, "lop_size": lop_size}
-        return report
+    face = lop_face(theorem1_system(n), max_perms=max_perms).face
     bqp = bqp_vertices(n)
     projection = theorem1_project(n)
 
@@ -424,9 +385,9 @@ def theorem1_verify(
     splits = [_zeros_ones(x.bits[:n]) for x, _ in lifts]
     report.details = {
         "n": n,
-        "lop_size": lop_size,
+        "lop_size": factorial(m),
         "face_size": len(face),
-        "face_sequences": [_sequence_or_bits(v, m) for v in face],
+        "face_sequences": [lop_vertex_to_perm(v, m).sequence_str() for v in face],
         "lifts": [
             {"diagonal": x.to_string()[:n], "k": len(zeros), "zeros_desc": zeros,
              "ones_desc": ones, "sequence": perm.sequence_str()}
@@ -486,17 +447,13 @@ def lemma1_lift(x: Vertex01, g: Graph) -> Permutation:
     return sequence_to_perm([n + i for i in zeros] + ones + [n + i for i in ones] + zeros)
 
 
-def lemma1_verify(
-    g: Graph, lop: VertexSet | None = None, max_perms: int = DEFAULT_MAX_PERMS
-) -> Report:
+def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     """Certify the stable-set projection for one graph.
 
     The face is found by the face search, and ``max_perms`` bounds the orders
     it emits.  Every order that puts n+1, ..., 2n before 1, ..., n is on the
     face, whatever the edges, so n with (n!)^2 > max_perms is refused before
-    anything is built.  A host ``lop`` passed in is scanned whole instead,
-    and ``max_perms`` is not used.  ``lop_size`` in the details is (2n)!,
-    or the host's size.
+    anything is built.  ``lop_size`` in the details is (2n)!.
 
     The image of the face under the coordinate projection must equal the
     stable-set vertex set (a projection, not a bijection; fiber sizes are
@@ -505,15 +462,14 @@ def lemma1_verify(
     n = g.n
     # (n!)^2 > max_perms, multiplied out only until it passes the budget
     factorials = accumulate(range(1, n + 1), mul)
-    if lop is None and any(count * count > max_perms for count in factorials):
+    if any(count * count > max_perms for count in factorials):
         raise CapacityError(
             f"the lemma-1 face of a graph on {n} vertices has at least ({n}!)^2 orders, "
             f"over the budget of {max_perms}; raise max_perms to allow it"
         )
-    lop_size = _lop_size(2 * n, lop)
     edges = [f"{i} {j}" for i, j in g.sorted_edges()]
     report = Report("lemma1", {"n": n, "edges": edges})
-    face = _lop_face(lemma1_system(g), lop, max_perms)
+    face = lop_face(lemma1_system(g), max_perms=max_perms).face
     stable = stable_vertices(g)
     projection = lemma1_project(n)
 
@@ -530,7 +486,7 @@ def lemma1_verify(
     report.details = {
         "n": n,
         "edges": edges,
-        "lop_size": lop_size,
+        "lop_size": factorial(2 * n),
         "face_size": len(face),
         "stable_size": len(stable),
         "fibers": {

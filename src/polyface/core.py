@@ -22,6 +22,7 @@ import json
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -471,15 +472,17 @@ def sequence_to_perm(s: str | Sequence[int]) -> Permutation:
         raise ParseError(str(exc)) from exc
 
 
-def lop_pair_bits(m: int) -> list[list[int]]:
+@lru_cache(maxsize=16)
+def lop_pair_bits(m: int) -> tuple[tuple[int, ...], ...]:
     """The table ``bits[a][b]`` of lop(m): the packed bit of coordinate
-    y(a, b) for 1 <= a < b <= m, and 0 for every other a, b in 0..m."""
+    y(a, b) for 1 <= a < b <= m, and 0 for every other a, b in 0..m.
+    Built once per m and shared, so it is a tuple of tuples."""
     bits = [[0] * (m + 1) for _ in range(m + 1)]
     bit = 1 << (m * (m - 1) // 2)
     for a, b in pairs(m):
         bit >>= 1
         bits[a][b] = bit
-    return bits
+    return tuple(map(tuple, bits))
 
 
 def perm_to_lop_vertex(p: Permutation) -> Vertex01:

@@ -31,13 +31,12 @@ def announce(number: int, label: str, failures: list) -> None:
     assert not failures, failures
 
 
-def test_criterion_1_quadric_face_exactness(lop8):
+def test_criterion_1_quadric_face_exactness():
     """Face size 2^n, bijective projection, lift round-trip, for n = 1..4."""
     failures = []
     started = time.time()
     for n in range(1, 5):
-        lop = lop8 if n == 4 else lop_vertices(2 * n)
-        report = theorem1_verify(n, lop=lop)
+        report = theorem1_verify(n)
         for name in (
             "face_cardinality",
             "projection_bijective_onto_bqp",
@@ -54,7 +53,7 @@ def test_criterion_1_quadric_face_exactness(lop8):
     announce(1, "quadric face exactness n=1..4", failures)
 
 
-def test_criterion_2_eight_row_table(lop6):
+def test_criterion_2_eight_row_table():
     """The n = 3 face matches the published eight sequences with their
     zero/one index sets and block sizes."""
     expected = {
@@ -68,7 +67,7 @@ def test_criterion_2_eight_row_table(lop6):
         "531642": (0, (), (3, 2, 1)),
     }
     failures = []
-    report = theorem1_verify(3, lop=lop6)
+    report = theorem1_verify(3)
     if set(report.details["face_sequences"]) != set(expected):
         failures.append(
             f"face sequences {sorted(report.details['face_sequences'])}"
@@ -86,13 +85,12 @@ def test_criterion_2_eight_row_table(lop6):
     announce(2, "published n=3 table reproduced exactly", failures)
 
 
-def test_criterion_3_dependent_coordinate_identities(lop8):
+def test_criterion_3_dependent_coordinate_identities():
     """The product identity and both cross-coordinate identities hold on
     every face vertex for n <= 4."""
     failures = []
     for n in range(1, 5):
-        lop = lop8 if n == 4 else lop_vertices(2 * n)
-        report = theorem1_verify(n, lop=lop)
+        report = theorem1_verify(n)
         for name in (
             "identity_cross_odd_even",
             "identity_cross_odd_odd",
@@ -116,7 +114,7 @@ def test_criterion_4_order_polytope_definitional_equivalence():
     announce(4, "enumeration equals brute-force filter m=3,4,5", failures)
 
 
-def test_criterion_5_stable_set_projection_all_graphs(lop8):
+def test_criterion_5_stable_set_projection_all_graphs():
     """For all 64 labeled graphs on 4 vertices the face projects exactly
     onto the stable-set vectors and every lift lands on the face."""
     failures = []
@@ -126,7 +124,7 @@ def test_criterion_5_stable_set_projection_all_graphs(lop8):
     for r in range(len(all_edges) + 1):
         for chosen in combinations(all_edges, r):
             g = Graph.from_edges(4, chosen)
-            report = lemma1_verify(g, lop=lop8)
+            report = lemma1_verify(g)
             checked += 1
             for name in (
                 "projection_image_equals_stable_set",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -39,6 +40,7 @@ from polyface import (
     theorem1_verify,
 )
 from polyface.core import pairs
+from polyface.generators import lop_face
 
 # The eight face rows for n = 3: sequence, zero-block size, descending index
 # sets carrying diagonal 0 and diagonal 1.
@@ -58,6 +60,23 @@ def bqp_vertex_from_diagonal(diag: tuple[int, ...]) -> Vertex01:
     n = len(diag)
     bits = list(diag) + [diag[i - 1] * diag[j - 1] for i, j in pairs(n)]
     return Vertex01.from_bits(bits)
+
+
+def every_graph(n: int) -> list[Graph]:
+    """The 2^C(n,2) labelled graphs on [n]."""
+    candidates = pairs(n)
+    return [Graph.from_edges(n, chosen)
+            for r in range(len(candidates) + 1) for chosen in combinations(candidates, r)]
+
+
+def scan_host(monkeypatch, lop8: VertexSet) -> None:
+    """Route the verifiers' face through ``extract_face`` on the whole of
+    lop(m), the oracle for the face search."""
+    def scan(fs, max_perms):
+        m = fs.layout.param
+        return extract_face(lop8 if m == 8 else lop_vertices(m), fs)
+
+    monkeypatch.setattr(constructions, "lop_face", scan)
 
 
 class TestTheorem1System:
@@ -166,8 +185,8 @@ class TestTheorem1Verify:
             "000000", "111000", "001011", "101001",
         }
 
-    def test_n3_matches_table(self, lop6):
-        report = theorem1_verify(3, lop=lop6)
+    def test_n3_matches_table(self):
+        report = theorem1_verify(3)
         assert report.all_passed
         assert set(report.details["face_sequences"]) == set(FACE_TABLE_N3)
 
@@ -196,7 +215,14 @@ class TestTheorem1Verify:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_face_search_matches_host_scan(self, n, lop8):
         host = lop8 if n == 4 else lop_vertices(2 * n)
-        assert theorem1_verify(n).to_json() == theorem1_verify(n, lop=host).to_json()
+        fs = theorem1_system(n)
+        assert lop_face(fs).face == extract_face(host, fs).face
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_report_bytes_match_host_scan_route(self, n, lop8, monkeypatch):
+        expected = theorem1_verify(n).to_json()
+        scan_host(monkeypatch, lop8)
+        assert theorem1_verify(n).to_json() == expected
 
 
 class TestLemma1System:
@@ -349,32 +375,32 @@ class TestLemma1Verify:
         assert report.details["face_size"] == 24
         assert report.details["stable_size"] == 4
 
-    def test_path_on_three_vertices(self, lop6):
+    def test_path_on_three_vertices(self):
         g = Graph.from_edges(3, [(1, 2), (2, 3)])
-        report = lemma1_verify(g, lop=lop6)
+        report = lemma1_verify(g)
         assert report.all_passed
         assert report.details["stable_size"] == 5
 
-    def test_all_graphs_up_to_three_vertices(self, lop6):
+    def test_all_graphs_up_to_three_vertices(self):
         for n in (1, 2, 3):
-            lop = lop6 if n == 3 else None
-            candidates = pairs(n)
-            for r in range(len(candidates) + 1):
-                for chosen in combinations(candidates, r):
-                    report = lemma1_verify(Graph.from_edges(n, chosen), lop=lop)
-                    assert report.all_passed, (n, chosen)
+            for g in every_graph(n):
+                assert lemma1_verify(g).all_passed, (n, g.sorted_edges())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_face_search_matches_host_scan_on_every_graph(self, n, lop8):
         host = lop8 if n == 4 else lop_vertices(2 * n)
-        candidates = pairs(n)
-        checked = 0
-        for r in range(len(candidates) + 1):
-            for chosen in combinations(candidates, r):
-                g = Graph.from_edges(n, chosen)
-                assert lemma1_verify(g).to_json() == lemma1_verify(g, lop=host).to_json(), chosen
-                checked += 1
-        assert checked == 2 ** len(candidates)
+        graphs = every_graph(n)
+        assert len(graphs) == 2 ** len(pairs(n))
+        for g in graphs:
+            fs = lemma1_system(g)
+            assert lop_face(fs).face == extract_face(host, fs).face, g.sorted_edges()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_report_bytes_match_host_scan_route_on_every_graph(self, n, lop8, monkeypatch):
+        graphs = every_graph(n)
+        expected = [lemma1_verify(g).to_json() for g in graphs]
+        scan_host(monkeypatch, lop8)
+        assert [lemma1_verify(g).to_json() for g in graphs] == expected
 
     def test_cap_exceeded(self):
         # the face holds every order with 6, ..., 10 before 1, ..., 5: (5!)^2 = 14400
@@ -548,12 +574,21 @@ def failing(report: Report) -> dict:
     return {a.name: a.witness for a in report.assertions if not a.passed}
 
 
-def without(host: VertexSet, words) -> VertexSet:
-    return host.restrict_to_words(w for w in host.words if w not in set(words))
+def change_face(monkeypatch, drop=(), add=()):
+    """Make the verifiers see the face that the search finds, less the
+    words in ``drop`` and with the words in ``add``."""
+    search = constructions.lop_face
+
+    def changed(fs, max_perms):
+        result = search(fs, max_perms=max_perms)
+        words = [w for w in result.face.words if w not in drop] + list(add)
+        return replace(result, face=result.face.restrict_to_words(words))
+
+    monkeypatch.setattr(constructions, "lop_face", changed)
 
 
 class TestVerifierFailures:
-    """Hosts with face vertices removed or added make named assertions fail;
+    """Faces with vertices removed or added make named assertions fail;
     every witness names the first failing vertex in sorted order."""
 
     THEOREM1_N2_LIFTS = {  # face word -> the quadric vertex lifting onto it
@@ -564,8 +599,9 @@ class TestVerifierFailures:
     }
 
     @pytest.mark.parametrize("word", sorted(THEOREM1_N2_LIFTS))
-    def test_theorem1_face_vertex_removed(self, word):
-        report = theorem1_verify(2, lop=without(lop_vertices(4), [int(word, 2)]))
+    def test_theorem1_face_vertex_removed(self, word, monkeypatch):
+        change_face(monkeypatch, drop=[int(word, 2)])
+        report = theorem1_verify(2)
         x, sequence = self.THEOREM1_N2_LIFTS[word]
         assert failing(report) == {
             "face_cardinality": "face has 3 vertices, expected 4",
@@ -574,8 +610,9 @@ class TestVerifierFailures:
             "face_equals_lift_image": "face and lift image differ as sets",
         }
 
-    def test_theorem1_first_missing_lift_is_witness(self):
-        report = theorem1_verify(2, lop=without(lop_vertices(4), [0b001011, 0b101001]))
+    def test_theorem1_first_missing_lift_is_witness(self, monkeypatch):
+        change_face(monkeypatch, drop=[0b001011, 0b101001])
+        report = theorem1_verify(2)
         assert failing(report)["lift_lands_on_face"] == "lift of 010 -> 3214"
 
     def test_theorem1_first_bad_roundtrip_is_witness(self, monkeypatch):
@@ -587,28 +624,19 @@ class TestVerifierFailures:
             "face_equals_lift_image": "face and lift image differ as sets",
         }
 
-    def test_theorem1_non_order_word_on_face(self):
-        host = lop_vertices(4)
-        report = theorem1_verify(2, lop=host.restrict_to_words([*host.words, 0b011010]))
+    def test_theorem1_extra_order_on_face(self, monkeypatch):
+        # 2431 breaks y(2,3) = 0 and projects to a point that is not 0/1
+        change_face(monkeypatch, add=[0b000110])
+        report = theorem1_verify(2)
         assert failing(report) == {
             "face_cardinality": "face has 5 vertices, expected 4",
-            "projection_bijective_onto_bqp": "non-integral image of 011010",
-            "identity_product": "011010 at pair (1,2)",
+            "projection_bijective_onto_bqp": "non-integral image of 000110",
+            "identity_cross_odd_even": "000110 at pair (1,2)",
+            "identity_cross_odd_odd": "000110 at pair (1,2)",
+            "identity_product": "000110 at pair (1,2)",
             "face_equals_lift_image": "face and lift image differ as sets",
         }
-        assert "011010" in report.details["face_sequences"]
-
-    def test_theorem1_host_breaking_support_is_reported(self):
-        host = lop_vertices(4)
-        report = theorem1_verify(2, lop=host.restrict_to_words([*host.words, 0b001000]))
-        assert [a.name for a in report.assertions] == ["face_system_supporting"]
-        assert failing(report) == {
-            "face_system_supporting": (
-                "equality y(1,2) - y(1,4) + y(2,4) = 0 is not supporting-derived: "
-                "<= violated by 000011, >= violated by 001000"
-            ),
-        }
-        assert report.details == {"n": 2, "lop_size": 25}
+        assert "2431" in report.details["face_sequences"]
 
     @pytest.mark.parametrize("word,expected", [
         ("000000", {"lift_lands_on_face": "lift of 00 -> 4321"}),
@@ -622,15 +650,16 @@ class TestVerifierFailures:
             "lift_lands_on_face": "lift of 10 -> 4132",
         }),
     ])
-    def test_lemma1_face_vertex_removed(self, word, expected):
-        g = Graph.from_edges(2, [(1, 2)])
-        report = lemma1_verify(g, lop=without(lop_vertices(4), [int(word, 2)]))
+    def test_lemma1_face_vertex_removed(self, word, expected, monkeypatch):
+        change_face(monkeypatch, drop=[int(word, 2)])
+        report = lemma1_verify(Graph.from_edges(2, [(1, 2)]))
         assert failing(report) == expected
 
-    def test_lemma1_first_missing_lift_is_witness(self):
+    def test_lemma1_first_missing_lift_is_witness(self, monkeypatch):
         g = Graph.empty(2)
-        lifts = [perm_to_lop_vertex(lemma1_lift(x, g)).word for x in stable_vertices(g)]
-        report = lemma1_verify(g, lop=without(lop_vertices(4), lifts))
+        change_face(monkeypatch, drop=[perm_to_lop_vertex(lemma1_lift(x, g)).word
+                                       for x in stable_vertices(g)])
+        report = lemma1_verify(g)
         assert failing(report) == {"lift_lands_on_face": "lift of 00 -> 4321"}
 
     def test_dcp_first_failing_identity_is_witness(self, monkeypatch):

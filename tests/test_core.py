@@ -25,7 +25,7 @@ from polyface import (
     perm_to_lop_vertex,
     sequence_to_perm,
 )
-from polyface.core import _KINDS
+from polyface.core import _KINDS, lop_pair_bits
 
 
 class TestPairIndex:
@@ -372,6 +372,17 @@ class TestPermToLopVertex:
         # dims 0 and 1 fit m(m-1)/2 for m = 0 and m = -1; m is refused first
         with pytest.raises(InvalidParameterError, match="lop layout needs m >= 1"):
             lop_vertex_to_perm(Vertex01(dim, 0), m)
+
+
+class TestLopPairBits:
+    def test_built_once_per_m_and_immutable(self):
+        bits = lop_pair_bits(5)
+        assert lop_pair_bits(5) is bits
+        assert lop_pair_bits(4) is not bits
+        with pytest.raises(TypeError):
+            bits[1][2] = 0
+        with pytest.raises(TypeError):
+            bits[1] = ()
 
 
 class TestLinearForm:
