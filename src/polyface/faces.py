@@ -11,11 +11,12 @@ so a scan collects the distinct support patterns of the vertex set in one
 pass and evaluates the form once per pattern.  Words are picked out again
 (the first violating vertex, the vertices on a face) by testing their
 patterns against a set of patterns, in the vertex set's sorted order.
+``cut`` decides one equality this way; ``extract_face`` and
+``generators.lop_face`` both use it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass
 
 from .core import CoordLayout, LinearForm, Vertex01, VertexSet, pair_index, triples
@@ -131,16 +132,18 @@ class SupportCheck:
     attained: bool
 
 
-def support_check(form: LinearForm, values: Collection[int]) -> SupportCheck | None:
-    """The relaxation of ``form`` that is valid over a vertex set on which it
-    takes ``values``, or None when neither is; an empty set gives <=."""
+def cut(form: LinearForm, words) -> tuple[SupportCheck | None, set[int]]:
+    """The relaxation of ``form`` that is valid over the 0/1 ``words``, or
+    None when neither is (no words give <=), and the support patterns
+    ``word & form.support_mask`` of the words on its hyperplane."""
+    table = _pattern_values(form, words)
     rhs = form.rhs
-    attained = rhs in values
-    if max(values, default=rhs) <= rhs:
-        return SupportCheck(form, "<=", attained)
-    if min(values) >= rhs:
-        return SupportCheck(form, ">=", attained)
-    return None
+    on = {p for p, value in table.items() if value == rhs}
+    if max(table.values(), default=rhs) <= rhs:
+        return SupportCheck(form, "<=", bool(on)), on
+    if min(table.values()) >= rhs:
+        return SupportCheck(form, ">=", bool(on)), on
+    return None, on
 
 
 @dataclass(frozen=True)
@@ -156,18 +159,20 @@ def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
     Before intersecting, each equality is validated as supporting-derived:
     one of its relaxations must be a valid inequality over ``v``.  An equality
     failing both directions raises NotSupportingError with a witness.  An
-    empty intersection is returned with a warning, not an error.
+    empty intersection is returned with a warning, not an error.  ``v`` and
+    ``fs`` must be over the same layout kind and parameter; their labels may
+    differ.
     """
-    if v.layout.dim != fs.layout.dim:
+    if (v.layout.kind, v.layout.param) != (fs.layout.kind, fs.layout.param):
         raise DimensionMismatchError(
-            f"vertex set of dim {v.layout.dim} against system of dim {fs.layout.dim}"
+            f"vertex set over {v.layout.kind}({v.layout.param}) "
+            f"against system over {fs.layout.kind}({fs.layout.param})"
         )
     words = v.words
     checks = []
-    on_face = []
+    surviving = words
     for form in fs.equalities:
-        table = _pattern_values(form, words)
-        check = support_check(form, table.values())
+        check, patterns = cut(form, words)
         if check is None:
             chk_le = is_valid_inequality(form.relaxed("<="), v)
             chk_ge = is_valid_inequality(form.relaxed(">="), v)
@@ -179,10 +184,7 @@ def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
                 witness=chk_ge.witness,
             )
         checks.append(check)
-        on_face.append((form.support_mask, {p for p, value in table.items() if value == form.rhs}))
-    surviving = words
-    for mask, patterns in on_face:
-        surviving = [w for w in surviving if w & mask in patterns]
+        surviving = [w for w in surviving if w & form.support_mask in patterns]
     face = v.restrict_to_words(surviving)
     warnings = ()
     if len(v) > 0 and not surviving:

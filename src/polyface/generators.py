@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, or_
 
-from .core import CoordLayout, LinearForm, VertexSet, _kind, lop_pair_bits, pair_index, pairs
+from .core import CoordLayout, VertexSet, _kind, lop_pair_bits, pairs
 from .errors import CapacityError, DimensionMismatchError, InvalidParameterError, ParseError
 from .faces import (
     EMPTY_FACE_WARNING,
     FaceExtraction,
     FaceSystem,
+    cut,
     extract_face,
-    support_check,
     three_cycle_forms,
 )
 
@@ -185,13 +185,8 @@ def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
     >>> [v.to_string() for v in lop_vertices(3)]
     ['000', '001', '011', '100', '110', '111']
     """
-    # m! is multiplied out only until it passes the budget
-    if any(count > max_perms for count in accumulate(range(1, m + 1), mul)):
-        raise CapacityError(
-            f"the {m}! linear orders on [{m}] exceed the budget of {max_perms}; "
-            "raise max_perms to allow it"
-        )
-    return VertexSet.from_words(CoordLayout.lop(m), _lop_search(m, [[]] * (m + 1), max_perms))
+    words = _lop_search(m, range(1, m + 1), {}, max_perms)
+    return VertexSet.from_words(CoordLayout.lop(m), words)
 
 
 def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtraction:
@@ -199,31 +194,31 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
     enumerating only the face.
 
     *Support on the elements a form touches.*  Let U be the elements that
-    the coordinates y(a, b) of an equality touch, k = |U|.  The form reads
-    only the relative order of U, every order on [m] restricts to an order
-    on U, and every order on U extends to one on [m].  So the form takes
-    the same set of values on lop(m) as on lop(k), with U relabelled
-    1, ..., k in increasing order, and lop(k) gives its direction and
-    whether it is attained.  A form that fails both directions there fails
-    them on lop(m) too; the system then goes to ``extract_face`` on the
+    the coordinates y(a, b) of an equality touch.  The form reads only the
+    relative order of U; every order on [m] restricts to one on U, and every
+    order on U extends to one on [m].  So the orders of U, in lop(m)'s
+    coordinates, have the form's support patterns on lop(m), and ``cut`` on
+    them decides the equality as ``extract_face`` does on lop(m).  A form
+    that fails both directions sends the system to ``extract_face`` on the
     enumerated lop(m), which raises the NotSupportingError with its witness.
-    lop(k) is enumerated under ``max_perms`` or the default budget,
-    whichever is larger, so forms on up to 8 elements are always checked.
+    The orders of U are enumerated under ``max_perms`` or the default
+    budget, whichever is larger, so forms on up to 8 elements are always
+    checked.
 
     *The face search.*  Inserting e into an order of {e+1, ..., m} fixes
     every coordinate y(e, j), so an equality whose smallest element is e is
-    decided as soon as e goes in, and a branch that breaks one is dropped.
-    The search raises CapacityError once it has emitted more than
-    ``max_perms`` orders, or kept more than m * ``max_perms`` partial orders
-    on the way.  The second bound caps its time whatever the system, at m
-    insertions per partial order kept: equalities that clash only among
-    small elements are checked last, after the partial orders of the large
-    ones are built, and none of those need be emitted.  It never refuses
-    lop(m) within the budget, which keeps at most 2 * (m-1)! partial
-    orders, nor the Theorem-1 and Lemma-1 faces, which kept at most m/2 per
-    order of the face on every system measured.
+    decided by its support pattern as soon as e goes in, and a branch that
+    breaks one is dropped.  The search raises CapacityError once it has
+    emitted more than ``max_perms`` orders, or kept more than m *
+    ``max_perms`` partial orders on the way.  The second bound caps its time
+    whatever the system, at m insertions per partial order kept: equalities
+    that clash only among small elements are checked last, after the
+    partial orders of the large ones are built, and none of those need be
+    emitted.  It never refuses lop(m) within the budget, which keeps at most
+    2 * (m-1)! partial orders, nor the Theorem-1 and Lemma-1 faces, which
+    kept at most m/2 per order of the face on every system measured.
 
-    >>> fs = FaceSystem(CoordLayout.lop(3), (LinearForm((1, 0, 0), "=", 0),))
+    >>> fs = FaceSystem.parse("layout lop 3\\n1 0 0 = 0")
     >>> [v.to_string() for v in lop_face(fs).face]  # 2 before 1
     ['000', '001', '011']
     """
@@ -231,56 +226,59 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
         raise DimensionMismatchError(f"expected a system over lop, got {fs.layout.kind}")
     m = fs.layout.param
     pair_list = pairs(m)
-    hosts: dict[int, tuple[int, ...]] = {}
     checks = []
-    by_element: list[list[LinearForm]] = [[] for _ in range(m + 1)]
+    tests: dict[int, list] = {}
     for form in fs.equalities:
-        terms = [(pair_list[i], c) for i, c in enumerate(form.coeffs) if c]
-        touched = sorted({x for pair, _ in terms for x in pair})
-        # lop(1) has the one empty order: the value of a form that touches nothing
-        k = max(len(touched), 1)
-        rank = {x: r for r, x in enumerate(touched, start=1)}
-        coeffs = [0] * (k * (k - 1) // 2)
-        for (a, b), c in terms:
-            coeffs[pair_index(rank[a], rank[b], k)] = c
-        if k not in hosts:
-            hosts[k] = lop_vertices(k, max_perms=max(max_perms, DEFAULT_MAX_PERMS)).words
-        restricted = LinearForm(tuple(coeffs), "=", form.rhs)
-        check = support_check(form, {restricted.evaluate_word(w) for w in hosts[k]})
+        touched = sorted({x for pair, c in zip(pair_list, form.coeffs) if c for x in pair})
+        orders = _lop_search(m, touched, {}, max(max_perms, DEFAULT_MAX_PERMS))
+        check, patterns = cut(form, orders)
         if check is None:
             return extract_face(lop_vertices(m, max_perms=max_perms), fs)
         checks.append(check)
-        by_element[touched[0] if touched else m].append(form)
-    words = _lop_search(m, by_element, max_perms)
+        # a form that touches nothing is tested at the first insertion
+        tests.setdefault(touched[0] if touched else m, []).append((form.support_mask, patterns))
+    words = _lop_search(m, range(1, m + 1), tests, max_perms)
     face = VertexSet.from_words(CoordLayout.lop(m), words)
     return FaceExtraction(face, tuple(checks), () if words else (EMPTY_FACE_WARNING,))
 
 
-def _lop_search(m: int, by_element: list[list[LinearForm]], max_perms: int) -> list[int]:
-    """Words of the orders on [m] that satisfy every equality in
-    ``by_element[e]``, each checked once e is inserted; CapacityError once
-    more than ``max_perms`` are emitted or m * ``max_perms`` partial orders
-    are kept."""
+def _lop_search(m: int, elements, tests: dict, max_perms: int) -> list[int]:
+    """Words, in lop(m)'s coordinates, of the orders on the ascending
+    ``elements`` that pass every test ``(mask, patterns)`` in ``tests[e]``,
+    ``word & mask in patterns``, checked once e is inserted.  CapacityError
+    once more than ``max_perms`` are emitted or m * ``max_perms`` partial
+    orders are kept; with no tests all k! orders would be emitted, so
+    k! > ``max_perms`` is refused before the search."""
+    k = len(elements)
+    # k! is multiplied out only until it passes the budget
+    if not tests and any(count > max_perms for count in accumulate(range(1, k + 1), mul)):
+        raise CapacityError(
+            f"the {k}! linear orders on [{k}] exceed the budget of {max_perms}; "
+            "raise max_perms to allow it"
+        )
+    if not elements:
+        return [0]
     pair_bits = lop_pair_bits(m)
     words: list[int] = []
     kept = m * max_perms
 
-    def insert_below(seq: tuple[int, ...], word: int, e: int) -> None:
+    def insert_below(seq: tuple[int, ...], word: int, i: int) -> None:
         """Append to ``words`` every order that extends ``seq``, an order
-        of {e+1, ..., m} with packed word ``word``, by inserting e, e-1,
-        ..., 1."""
+        of ``elements[i+1:]`` with packed word ``word``, by inserting
+        ``elements[i]``, ..., ``elements[0]``."""
         nonlocal kept
         kept -= 1
         if kept < 0:
             raise CapacityError(f"the face search on [{m}] kept over {m} partial orders per "
                                 f"order of the budget of {max_perms}; raise max_perms to allow it")
+        e = elements[i]
         # suffix masks for inserting e at positions len(seq), ..., 0
         suffixes = accumulate(map(pair_bits[e].__getitem__, reversed(seq)), or_, initial=0)
-        forms = by_element[e]
-        if e == 1:
-            if forms:
+        here = tests.get(e)
+        if i == 0:
+            if here:
                 words.extend([w for w in map(word.__or__, suffixes)
-                              if all(f.evaluate_word(w) == f.rhs for f in forms)])
+                              if all(w & mask in patterns for mask, patterns in here)])
             else:
                 words.extend(map(word.__or__, suffixes))
             if len(words) > max_perms:
@@ -289,11 +287,11 @@ def _lop_search(m: int, by_element: list[list[LinearForm]], max_perms: int) -> l
             return
         for p, suffix in zip(range(len(seq), -1, -1), suffixes):
             new = word | suffix
-            if forms and not all(f.evaluate_word(new) == f.rhs for f in forms):
+            if here and not all(new & mask in patterns for mask, patterns in here):
                 continue
-            insert_below(seq[:p] + (e,) + seq[p:], new, e - 1)
+            insert_below(seq[:p] + (e,) + seq[p:], new, i - 1)
 
-    insert_below((), 0, m)
+    insert_below((), 0, k - 1)
     return words
 
 

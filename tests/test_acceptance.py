@@ -18,11 +18,11 @@ from polyface import (
     is_face_subset,
     lemma1_verify,
     lop_vertices,
-    lop_vertices_oracle,
     theorem1_verify,
     theorem1_system,
 )
 from polyface.core import pairs
+from polyface.generators import lop_vertices_oracle
 
 
 def announce(number: int, label: str, failures: list) -> None:

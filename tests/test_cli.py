@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polyface import LinearForm, VertexSet, lop_vertices
+from polyface import CoordLayout, LinearForm, VertexSet, lop_vertices
 from polyface.cli import build_parser, main
 from polyface.generators import Graph
 
@@ -184,6 +184,19 @@ class TestFaceCommand:
         assert code == 1
         assert "not supporting" in stderr.replace("-", " ")
 
+    @pytest.mark.parametrize("header", ["layout bqp 2", "layout stable 3"])
+    def test_system_over_another_layout_is_refused(self, capsys, tmp_path, lop3_file, header):
+        # both layouts have lop(3)'s dimension 3
+        system = tmp_path / "sys.fs"
+        system.write_text(f"{header}\n1 0 0 = 0\n")
+        code, stdout, stderr = run(
+            capsys, "face", "--set", lop3_file, "--system", str(system)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: vertex set over lop(3) against system over")
+        assert stderr.count("\n") == 1
+
     def test_non_utf8_vertex_set_is_an_error(self, capsys, tmp_path):
         vs_path = tmp_path / "bad.vs"
         vs_path.write_bytes(lop_vertices(3).to_text().encode() + b"\xff\n")
@@ -354,6 +367,19 @@ class TestGeometryCommand:
         )
         assert code == 0
         assert "PASS pairwise_adjacent" in stdout
+
+    def test_named_subset_on_a_labelled_lop_set(self, capsys, tmp_path):
+        lop4 = lop_vertices(4)
+        labelled = VertexSet.from_words(CoordLayout("lop", 4, tuple("abcdef")), lop4.words)
+        path = tmp_path / "lop4.vs"
+        path.write_text(labelled.to_text())
+        assert "labels a b c d e f" in path.read_text()
+        code, stdout, _ = run(
+            capsys, "geometry", "clique", "--set", str(path),
+            "--subset", "theorem1-face", "--format", "json",
+        )
+        assert code == 0
+        assert len(json.loads(stdout)["params"]["subset"]) == 4
 
     def test_neighborly_sweep(self, capsys, tmp_path):
         path = tmp_path / "bqp2.vs"

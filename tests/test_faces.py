@@ -15,8 +15,8 @@ from polyface import (
     perm_to_lop_vertex,
     sequence_to_perm,
     theorem1_system,
-    three_cycle_forms,
 )
+from polyface.faces import SupportCheck, cut, three_cycle_forms
 
 
 class TestThreeCycleForms:
@@ -142,6 +142,38 @@ class TestExtractFace:
         fs = FaceSystem(CoordLayout.lop(4), (_eq((1, 0, 0, 0, 0, 0)),))
         with pytest.raises(DimensionMismatchError):
             extract_face(vs, fs)
+
+    @pytest.mark.parametrize("layout", [CoordLayout.bqp(2), CoordLayout.stable(3)])
+    def test_another_layout_of_the_same_dimension(self, layout):
+        fs = FaceSystem(layout, (_eq((1, 0, 0)),))
+        message = rf"vertex set over lop\(3\) against system over {layout.kind}\({layout.param}\)"
+        with pytest.raises(DimensionMismatchError, match=message):
+            extract_face(lop_vertices(3), fs)
+
+
+class TestCut:
+    def test_empty_host_gives_unattained_le(self):
+        form = _eq((1, 0, 0), rhs=1)
+        assert cut(form, ()) == (SupportCheck(form, "<=", False), set())
+
+    @pytest.mark.parametrize("coeffs, rhs, direction, patterns", [
+        # y(1,2) - y(1,3) + y(2,3) is 0 on 000, 011 and 110 and 1 elsewhere
+        ((1, -1, 1), 0, ">=", {0b000, 0b011, 0b110}),
+        # y(1,3) = 1 reads one bit, so its pattern is that bit alone
+        ((0, 1, 0), 1, "<=", {0b010}),
+    ])
+    def test_attained_supporting_form(self, coeffs, rhs, direction, patterns):
+        form = _eq(coeffs, rhs)
+        assert cut(form, lop_vertices(3).words) == (SupportCheck(form, direction, True), patterns)
+
+    def test_valid_but_attained_by_no_word(self):
+        form = _eq((1, 1, 0), rhs=3)
+        assert cut(form, lop_vertices(3).words) == (SupportCheck(form, "<=", False), set())
+
+    def test_not_supporting(self):
+        # y(1,2) - y(1,3) takes -1, 0 and 1 on lop(3)
+        check, _ = cut(_eq((1, -1, 0)), lop_vertices(3).words)
+        assert check is None
 
 
 class TestFaceSystemIO:

@@ -20,10 +20,8 @@ from polyface import (
     ParseError,
     bqp_vertices,
     dcp_vertices,
-    dcp_vertices_naive,
     extract_face,
     lop_vertices,
-    lop_vertices_oracle,
     stable_vertices,
 )
 from polyface.constructions import dcp_embedding
@@ -34,7 +32,13 @@ from polyface.core import (
     pair_index,
     pairs,
 )
-from polyface.generators import DEFAULT_MAX_PERMS, MAX_VECTORS, lop_face
+from polyface.generators import (
+    DEFAULT_MAX_PERMS,
+    MAX_VECTORS,
+    dcp_vertices_naive,
+    lop_face,
+    lop_vertices_oracle,
+)
 
 
 def lop_vertices_by_permutation(m: int) -> VertexSet:
@@ -225,6 +229,22 @@ class TestLopFace:
     def test_needs_a_lop_layout(self):
         with pytest.raises(DimensionMismatchError, match="system over lop"):
             lop_face(FaceSystem(CoordLayout.bqp(3), ()))
+
+
+class TestOrderSearch:
+    @pytest.mark.parametrize("size", range(6))
+    def test_orders_of_every_element_subset(self, size):
+        # the orders of U in lop(5)'s coordinates are lop(5)'s patterns on U's pairs
+        m, dim = 5, 10
+        host = lop_vertices(m).words
+        for subset in combinations(range(1, m + 1), size):
+            mask = sum(1 << (dim - 1 - pair_index(a, b, m)) for a, b in combinations(subset, 2))
+            words = generators._lop_search(m, list(subset), {}, DEFAULT_MAX_PERMS)
+            assert len(words) == len(set(words)) == math.factorial(size)
+            assert set(words) == {w & mask for w in host}
+
+    def test_empty_element_list_gives_the_empty_order(self):
+        assert generators._lop_search(5, [], {}, 1) == [0]
 
 
 class TestLopOracle:
