@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul, or_
+from operator import gt, lt, mul, or_
 
 from .core import CoordLayout, VertexSet, _kind, lop_pair_bits, pairs
 from .errors import CapacityError, DimensionMismatchError, InvalidParameterError, ParseError
@@ -193,17 +193,17 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
     """``extract_face(lop_vertices(m), fs)`` for a system ``fs`` over lop(m),
     enumerating only the face.
 
-    *Support on the elements a form touches.*  Let U be the elements that
-    the coordinates y(a, b) of an equality touch.  The form reads only the
-    relative order of U; every order on [m] restricts to one on U, and every
-    order on U extends to one on [m].  So the orders of U, in lop(m)'s
-    coordinates, have the form's support patterns on lop(m), and ``cut`` on
-    them decides the equality as ``extract_face`` does on lop(m).  A form
-    that fails both directions sends the system to ``extract_face`` on the
-    enumerated lop(m), which raises the NotSupportingError with its witness.
-    The orders of U are enumerated under ``max_perms`` or the default
-    budget, whichever is larger, so forms on up to 8 elements are always
-    checked.
+    *Support on the elements a form touches.*  Let U be the elements that the
+    coordinates y(a, b) of an equality touch.  The form reads only the order
+    of U; every order on [m] restricts to one on U, and every order on U
+    extends to one on [m].  So the orders of U, in lop(m)'s coordinates, have
+    the form's support patterns on lop(m), and ``cut`` on them decides the
+    equality as ``extract_face`` does.  They are enumerated under the larger
+    of ``max_perms`` and the default budget, so forms on up to 8 elements are
+    always checked.  If the form fails both directions, ``extract_face``
+    raises its lop(m) error on the least extensions (``_least_extension``) of
+    the least orders of U that break <= and >=: they are the first words of
+    lop(m) that break each, and the equalities before hold on them.
 
     *The face search.*  Inserting e into an order of {e+1, ..., m} fixes
     every coordinate y(e, j), so an equality whose smallest element is e is
@@ -221,6 +221,10 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
     >>> fs = FaceSystem.parse("layout lop 3\\n1 0 0 = 0")
     >>> [v.to_string() for v in lop_face(fs).face]  # 2 before 1
     ['000', '001', '011']
+    >>> fs = FaceSystem.parse("layout lop 10\\n1 -1" + " 0" * 43 + " = 0")
+    >>> lop_face(fs)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    polyface.errors.NotSupportingError: equality y(1,2) - y(1,3) = 0 is not supporting-derived: ...
     """
     if fs.layout.kind != "lop":
         raise DimensionMismatchError(f"expected a system over lop, got {fs.layout.kind}")
@@ -233,13 +237,28 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
         orders = _lop_search(m, touched, {}, max(max_perms, DEFAULT_MAX_PERMS))
         check, patterns = cut(form, orders)
         if check is None:
-            return extract_face(lop_vertices(m, max_perms=max_perms), fs)
+            host = [_least_extension(m, touched, min(w for w in orders if breaks(
+                form.evaluate_word(w), form.rhs))) for breaks in (gt, lt)]
+            return extract_face(VertexSet.from_words(CoordLayout.lop(m), host), fs)
         checks.append(check)
         # a form that touches nothing is tested at the first insertion
         tests.setdefault(touched[0] if touched else m, []).append((form.support_mask, patterns))
     words = _lop_search(m, range(1, m + 1), tests, max_perms)
     face = VertexSet.from_words(CoordLayout.lop(m), words)
     return FaceExtraction(face, tuple(checks), () if words else (EMPTY_FACE_WARNING,))
+
+
+def _least_extension(m: int, elements, word: int) -> int:
+    """The least word of lop(m) whose order of ``elements``, the chain, is
+    that of ``word``: the chain merged with the other elements in descending
+    order, the larger head first.  So it adds to ``word`` just the y(r, c),
+    r another element and c > r in the chain, where some chain d < r
+    precedes c; an extension putting c before r puts d before r and sets
+    the more significant y(d, r).  These bits read only chain pairs (d, c)
+    with d < r, so extending keeps the order of words."""
+    bits = lop_pair_bits(m)
+    return word | sum(bits[r][c] for r in range(1, m + 1) if r not in elements for c in elements
+                      if c > r and any(word & bits[d][c] for d in elements if d < r))
 
 
 def _lop_search(m: int, elements, tests: dict, max_perms: int) -> list[int]:
@@ -253,7 +272,7 @@ def _lop_search(m: int, elements, tests: dict, max_perms: int) -> list[int]:
     # k! is multiplied out only until it passes the budget
     if not tests and any(count > max_perms for count in accumulate(range(1, k + 1), mul)):
         raise CapacityError(
-            f"the {k}! linear orders on [{k}] exceed the budget of {max_perms}; "
+            f"the {k}! linear orders of {k} elements exceed the budget of {max_perms}; "
             "raise max_perms to allow it"
         )
     if not elements:

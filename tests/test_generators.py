@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -29,6 +30,7 @@ from polyface.core import (
     CoordLayout,
     Vertex01,
     VertexSet,
+    lop_vertex_to_perm,
     pair_index,
     pairs,
 )
@@ -172,6 +174,13 @@ def face_or_refusal(extract):
         return str(exc), exc.witness, exc.form
 
 
+def y12_minus_y13(m: int) -> FaceSystem:
+    """y(1,2) - y(1,3) = 0 over lop(m): 2 and 3 on the same side of 1 fails both ways."""
+    coeffs = [0] * (m * (m - 1) // 2)
+    coeffs[pair_index(1, 2, m)], coeffs[pair_index(1, 3, m)] = 1, -1
+    return FaceSystem(CoordLayout.lop(m), (LinearForm(tuple(coeffs), "=", 0),))
+
+
 class TestLopFace:
     @pytest.mark.parametrize("m, systems", [(5, 60), (6, 60), (7, 40), (8, 25)])
     def test_matches_extract_face_on_seeded_systems(self, m, systems, lop8):
@@ -187,6 +196,47 @@ class TestLopFace:
             else:
                 outcomes["empty" if not expected.face else "face"] += 1
         assert set(outcomes) == {"not supporting", "empty", "face"}, outcomes
+
+    def test_matches_extract_face_on_lop9_refusals(self):
+        # at max_perms=1 the face search refuses nearly every supporting system,
+        # so mostly refusals are compared with the scan of all 9! orders
+        host = lop_vertices(9, max_perms=math.factorial(9))
+        rng = random.Random(1009)
+        refused = 0
+        for _ in range(20):
+            fs = random_lop_system(rng, 9)
+            try:
+                got = face_or_refusal(lambda: lop_face(fs, max_perms=1))
+            except CapacityError:
+                continue
+            assert got == face_or_refusal(lambda: extract_face(host, fs))
+            refused += isinstance(got, tuple)
+        assert refused == 3
+
+    @pytest.mark.parametrize("m", [9, 10, 40])
+    def test_refused_at_every_m(self, m):
+        fs = y12_minus_y13(m)
+        form = fs.equalities[0]
+        with pytest.raises(NotSupportingError) as info:
+            lop_face(fs)
+        le, ge = map(Vertex01.from_string, re.findall(r"violated by ([01]+)", str(info.value)))
+        for witness in (le, ge):
+            lop_vertex_to_perm(witness, m)  # raises unless the word is an order on [m]
+        assert form.evaluate_word(le.word) > 0 > form.evaluate_word(ge.word)
+        assert info.value.witness == ge and info.value.form == form
+
+    def test_refusal_ignores_the_order_budget(self):
+        fs = y12_minus_y13(5)
+        expected = face_or_refusal(lambda: extract_face(lop_vertices(5), fs))
+        assert face_or_refusal(lambda: lop_face(fs, max_perms=1)) == expected
+
+    def test_form_on_nine_elements_is_refused_by_its_element_count(self):
+        coeffs = [0] * (12 * 11 // 2)
+        for a in range(1, 9):
+            coeffs[pair_index(a, a + 1, 12)] = 1
+        fs = FaceSystem(CoordLayout.lop(12), (LinearForm(tuple(coeffs), "=", 0),))
+        with pytest.raises(CapacityError, match="the 9! linear orders of 9 elements exceed"):
+            lop_face(fs)
 
     @pytest.mark.parametrize("rhs", [-1, 0, 1])
     def test_form_touching_nothing(self, rhs):
@@ -245,6 +295,19 @@ class TestOrderSearch:
 
     def test_empty_element_list_gives_the_empty_order(self):
         assert generators._lop_search(5, [], {}, 1) == [0]
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_least_extension_is_least_and_keeps_the_order(self, m):
+        dim = m * (m - 1) // 2
+        host = lop_vertices(m).words
+        for size in range(m + 1):
+            for subset in combinations(range(1, m + 1), size):
+                mask = sum(1 << (dim - 1 - pair_index(a, b, m)) for a, b in combinations(subset, 2))
+                least = {w & mask: w for w in reversed(host)}
+                orders = sorted(generators._lop_search(m, list(subset), {}, DEFAULT_MAX_PERMS))
+                extended = [generators._least_extension(m, list(subset), w) for w in orders]
+                assert extended == [least[w] for w in orders]
+                assert extended == sorted(extended)
 
 
 class TestLopOracle:
