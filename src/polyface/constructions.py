@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, combinations
 from math import factorial, isqrt
-from operator import mul
+from operator import mul, or_
 
 from .core import (
     AffineMapQ,
@@ -281,13 +282,18 @@ def theorem1_project(n: int) -> AffineMapQ:
 
 
 def _validate_bqp_vertex(x: Vertex01, n: int) -> list[int]:
-    """Check the product structure of a quadric vertex; return its diagonal."""
-    diag = [x.bit(i - 1) for i in range(1, n + 1)]
-    for i, j in pairs(n):
-        if x.bit(n + pair_index(i, j, n)) != diag[i - 1] * diag[j - 1]:
-            raise InvalidVertexError(
-                f"{x} violates the product structure at pair ({i},{j})"
-            )
+    """Check the product structure of a quadric vertex; return its diagonal.
+    The word that the diagonal forces, built as ``bqp_vertices`` does, is
+    compared with ``x`` at once; the pairs are searched only on a mismatch."""
+    diagonal = x.word >> (x.dim - n)
+    diag = [diagonal >> (n - 1 - i) & 1 for i in range(n)]
+    word = diagonal
+    for d_i, d_j in combinations(diag, 2):
+        word = word << 1 | d_i & d_j
+    if word != x.word:
+        i, j = next((i, j) for i, j in pairs(n)
+                    if x.bit(n + pair_index(i, j, n)) != diag[i - 1] * diag[j - 1])
+        raise InvalidVertexError(f"{x} violates the product structure at pair ({i},{j})")
     return diag
 
 
@@ -382,12 +388,16 @@ def theorem1_verify(n: int, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
         witness="face and lift image differ as sets",
     )
 
+    # a word determines its order, so each lift names its word's sequence;
+    # only face words that no lift reaches, which fail a check, are decoded
+    sequences = dict(zip(lift_words, (perm.sequence_str() for _, perm in lifts)))
     splits = [_zeros_ones(x.bits[:n]) for x, _ in lifts]
     report.details = {
         "n": n,
         "lop_size": factorial(m),
         "face_size": len(face),
-        "face_sequences": [lop_vertex_to_perm(v, m).sequence_str() for v in face],
+        "face_sequences": [sequences.get(w) or lop_vertex_to_perm(
+            Vertex01(host.dim, w), m).sequence_str() for w in face.words],
         "lifts": [
             {"diagonal": x.to_string()[:n], "k": len(zeros), "zeros_desc": zeros,
              "ones_desc": ones, "sequence": perm.sequence_str()}
@@ -473,7 +483,12 @@ def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     stable = stable_vertices(g)
     projection = lemma1_project(n)
 
-    fibers = Counter(projection.apply_word(word) for word in face.words)
+    # an image reads only the bits under the rows' masks: project each
+    # pattern there once, counted by the face words that show it
+    support = reduce(or_, (row.support_mask for row in projection.rows), 0)
+    fibers = Counter()
+    for pattern, count in Counter(map(support.__and__, face.words)).items():
+        fibers[projection.apply_word(pattern)] += count
     report.check(
         "projection_image_equals_stable_set",
         set(fibers) == set(stable.words),

@@ -250,9 +250,11 @@ class Vertex01:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Vertex01":
         bits = tuple(bits)
-        word = _pack(bits)
-        if word is None:
-            raise InvalidVertexError(f"coordinates must be 0 or 1, got {bits!r}")
+        word = 0
+        for value in bits:
+            if value != 0 and value != 1:
+                raise InvalidVertexError(f"coordinates must be 0 or 1, got {bits!r}")
+            word = word << 1 | (value == 1)
         return cls(len(bits), word)
 
     @classmethod
@@ -281,16 +283,6 @@ class Vertex01:
 def word_to_string(word: int, dim: int) -> str:
     """The coordinates of a packed word of dimension ``dim`` as a 0/1 string."""
     return format(word, f"0{dim}b") if dim else ""
-
-
-def _pack(values: Iterable) -> int | None:
-    """The packed word of exact coordinate values, or None if one is not 0 or 1."""
-    word = 0
-    for value in values:
-        if value != 0 and value != 1:
-            return None
-        word = (word << 1) | (value == 1)
-    return word
 
 
 def _parse_vertices(layout: CoordLayout, strings: Iterable[str]) -> list[Vertex01]:
@@ -650,9 +642,20 @@ class AffineMapQ:
 
     def apply_word(self, word: int) -> int | None:
         """Packed image of the packed 0/1 source point ``word``, or None when
-        some image coordinate is not 0 or 1."""
+        some image coordinate is not 0 or 1.  The image reads only ``word``'s
+        bits under the rows' support masks, and each row is summed inline
+        from its (mask, coefficient) pairs."""
         if not 0 <= word < 1 << self.source_dim:
             raise InvalidVertexError(
                 f"packed word {word} out of range for source dimension {self.source_dim}"
             )
-        return _pack(row.evaluate_word(word) for row in self.rows)
+        image = 0
+        for row in self.rows:
+            value = 0
+            for mask, c in row._nz:
+                if word & mask:
+                    value += c
+            if value != 0 and value != 1:
+                return None
+            image = image << 1 | value
+        return image

@@ -291,23 +291,22 @@ def _lop_search(m: int, elements, tests: dict, max_perms: int) -> list[int]:
             raise CapacityError(f"the face search on [{m}] kept over {m} partial orders per "
                                 f"order of the budget of {max_perms}; raise max_perms to allow it")
         e = elements[i]
-        # suffix masks for inserting e at positions len(seq), ..., 0
-        suffixes = accumulate(map(pair_bits[e].__getitem__, reversed(seq)), or_, initial=0)
-        here = tests.get(e)
+        # the words of e inserted at positions len(seq), ..., 0
+        inserted = map(word.__or__, accumulate(
+            map(pair_bits[e].__getitem__, reversed(seq)), or_, initial=0))
+        here = tests.get(e, ())
         if i == 0:
-            if here:
-                words.extend([w for w in map(word.__or__, suffixes)
-                              if all(w & mask in patterns for mask, patterns in here)])
-            else:
-                words.extend(map(word.__or__, suffixes))
+            for mask, patterns in here:
+                inserted = [w for w in inserted if w & mask in patterns]
+            words.extend(inserted)
             if len(words) > max_perms:
                 raise CapacityError(f"the face search passed the budget of {max_perms} orders; "
                                     "raise max_perms to allow it")
             return
-        for p, suffix in zip(range(len(seq), -1, -1), suffixes):
-            new = word | suffix
-            if here and not all(new & mask in patterns for mask, patterns in here):
-                continue
+        inserted = zip(range(len(seq), -1, -1), inserted)
+        for mask, patterns in here:
+            inserted = [(p, w) for p, w in inserted if w & mask in patterns]
+        for p, new in inserted:
             insert_below(seq[:p] + (e,) + seq[p:], new, i - 1)
 
     insert_below((), 0, k - 1)

@@ -30,6 +30,7 @@ THEOREM1 = {
     1: "a01a55ef1a5a1faf6701c16ac7ca00a1035f0cdbf3d65cbf1312966dfdcc8f8a",
     2: "9c845372f29b05112873e72bf892e812ad02f9695fac0ef5f200c4cc5b573e19",
     3: "8cebef31791c6040765f55820fafd19290c290c9089d8cffa55ed2d1bb26e92a",
+    8: "aae209de9a750e213fb9f699bfa0994f84a66b623851d5e7e699068002f8ec5d",
 }
 
 LEMMA1 = {
@@ -47,6 +48,9 @@ LEMMA1 = {
         "9f35918bc3adbde5b6d88b91dcdf7cefba3c8ab8c6ea8a3bd02157fd7c088515"
     ),
 }
+
+#: Lemma 1 on the 5-cycle, the largest graph the default budget allows.
+LEMMA1_C5 = "fd0722151128ac2135b16005ed8d8fd6ac2d3508a5d1b9e45f1c1a69ccb69b14"
 
 DCP = {
     3: "a223648c842d16945fbd52874c595747fcd297d6c6955632b51d90d7776dc928",
@@ -82,6 +86,11 @@ def test_lemma1_report_bytes(key):
     n, edges = key
     report = lemma1_verify(Graph.from_edges(n, edges))
     assert sha256(report.to_json()) == LEMMA1[key]
+
+
+def test_lemma1_c5_report_bytes():
+    c5 = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    assert sha256(lemma1_verify(c5).to_json()) == LEMMA1_C5
 
 
 @pytest.mark.parametrize("m", sorted(DCP))

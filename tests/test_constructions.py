@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -39,7 +40,7 @@ from polyface import (
     theorem1_system,
     theorem1_verify,
 )
-from polyface.core import pairs
+from polyface.core import lop_vertex_to_perm, pairs, word_to_string
 from polyface.generators import lop_face
 
 # The eight face rows for n = 3: sequence, zero-block size, descending index
@@ -151,6 +152,29 @@ class TestTheorem1Lift:
         with pytest.raises(InvalidVertexError):
             theorem1_lift(bad)
 
+    @pytest.mark.parametrize("string,pair", [
+        ("111010", "(1,2)"), ("101000", "(1,3)"), ("000001", "(2,3)"), ("011100", "(1,2)"),
+    ])
+    def test_invalid_vertex_names_first_failing_pair(self, string, pair):
+        with pytest.raises(InvalidVertexError) as error:
+            theorem1_lift(Vertex01.from_string(string))
+        assert str(error.value) == f"{string} violates the product structure at pair {pair}"
+
+    def test_lifts_exactly_the_quadric_vertices(self, lop6):
+        # every 0/1 word of bqp(3)'s dimension against a per-pair check
+        face = extract_face(lop6, theorem1_system(3)).face
+        for word in range(1 << 6):
+            x = Vertex01(6, word)
+            diag = x.bits[:3]
+            broken = [(i, j) for i, j in pairs(3)
+                      if x.bit(3 + pair_index(i, j, 3)) != diag[i - 1] * diag[j - 1]]
+            if not broken:
+                assert x in bqp_vertices(3)
+                assert perm_to_lop_vertex(theorem1_lift(x)) in face
+                continue
+            with pytest.raises(InvalidVertexError, match=r"at pair \(%d,%d\)$" % broken[0]):
+                theorem1_lift(x)
+
     def test_bad_dimension_rejected(self):
         with pytest.raises(InvalidVertexError):
             theorem1_lift(Vertex01.from_string("1100"))
@@ -203,6 +227,13 @@ class TestTheorem1Verify:
         for x in bqp_vertices(n):
             y = perm_to_lop_vertex(theorem1_lift(x))
             assert proj.apply(y.bits) == x.bits
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_face_sequences_match_decoding(self, n):
+        # the sequences come from the lifts; decoding each face word is the oracle
+        face = lop_face(theorem1_system(n)).face
+        expected = [lop_vertex_to_perm(v, 2 * n).sequence_str() for v in face]
+        assert theorem1_verify(n).details["face_sequences"] == expected
 
     def test_cap_exceeded(self):
         # the face search emits the face's 2^n orders, so 2^5 = 32 needs a budget of 32
@@ -569,6 +600,15 @@ class TestApplyWord:
         # projection never leaves the cube
         assert (off_cube > 0) == (project is theorem1_project)
 
+    @pytest.mark.parametrize("g", every_graph(4) + [
+        Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+    ])
+    def test_pattern_counted_fibers_match_per_word(self, g):
+        proj = lemma1_project(g.n)
+        fibers = Counter(proj.apply_word(w) for w in lop_face(lemma1_system(g)).face.words)
+        assert lemma1_verify(g).details["fibers"] == {
+            word_to_string(w, g.n): count for w, count in sorted(fibers.items())}
+
 
 def failing(report: Report) -> dict:
     return {a.name: a.witness for a in report.assertions if not a.passed}
@@ -637,6 +677,12 @@ class TestVerifierFailures:
             "face_equals_lift_image": "face and lift image differ as sets",
         }
         assert "2431" in report.details["face_sequences"]
+
+    def test_theorem1_order_off_the_lifts_is_decoded(self, monkeypatch):
+        change_face(monkeypatch, add=[0b000110])
+        face = lop_face(theorem1_system(2)).face.words + (0b000110,)
+        assert theorem1_verify(2).details["face_sequences"] == [
+            lop_vertex_to_perm(Vertex01(6, w), 4).sequence_str() for w in sorted(face)]
 
     @pytest.mark.parametrize("word,expected", [
         ("000000", {"lift_lands_on_face": "lift of 00 -> 4321"}),

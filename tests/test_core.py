@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -443,6 +444,22 @@ class TestAffineMapQ:
         assert m.apply_word(0b00) == 0b00
         assert m.apply_word(0b01) is None  # image -1
         assert m.apply_word(0b11) is None  # image 2
+
+    def test_apply_word_matches_fraction_route_on_random_maps(self):
+        # off the cube the Fraction image has a coordinate outside {0, 1}
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(40):
+            dim = rng.randint(1, 7)
+            m = AffineMapQ.linear([[rng.randint(-2, 2) for _ in range(dim)]
+                                   for _ in range(rng.randint(1, 5))])
+            for word in range(1 << dim):
+                coords = m.apply(tuple(map(Fraction, Vertex01(dim, word).bits)))
+                on_cube = all(c in (0, 1) for c in coords)
+                seen.add(on_cube)
+                assert m.apply_word(word) == (
+                    Vertex01.from_bits(coords).word if on_cube else None)
+        assert seen == {True, False}
 
     def test_apply_word_out_of_range(self):
         m = AffineMapQ.linear([[1, 0]])

@@ -275,6 +275,18 @@ class TestLopFace:
         message = r"\[12\] kept over 12 partial orders per order of the budget of 100"
         with pytest.raises(CapacityError, match=message):
             lop_face(clash(12), max_perms=100)
+        # the kept count is the sum of k! for k < m - 1, the orders of
+        # {m}, ..., {3,...,m}, plus the (m-1)!/2 orders of {2,...,m} with 3
+        # before 2; the least budget passing it is that count over m, rounded up
+        for m in range(4, 9):
+            kept = sum(math.factorial(k) for k in range(m - 1)) + math.factorial(m - 1) // 2
+            least = -(-kept // m)
+            assert least == {4: 2, 5: 5, 6: 16, 7: 74, 8: 425}[m]
+            assert lop_face(clash(m), max_perms=least) == extract_face(lop_vertices(m), clash(m))
+            message = (f"the face search on [{m}] kept over {m} partial orders per order of "
+                       f"the budget of {least - 1}; raise max_perms to allow it")
+            with pytest.raises(CapacityError, match=re.escape(message)):
+                lop_face(clash(m), max_perms=least - 1)
 
     def test_needs_a_lop_layout(self):
         with pytest.raises(DimensionMismatchError, match="system over lop"):
