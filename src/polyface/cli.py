@@ -16,7 +16,6 @@ from itertools import combinations
 from pathlib import Path
 
 from .constructions import (
-    DEFAULT_DCP_VERIFY_MAX_COLS,
     Report,
     dcp_verify,
     lemma1_verify,
@@ -248,20 +247,24 @@ def build_parser() -> argparse.ArgumentParser:
             f"the face's orders for verify theorem1 and lemma1 (default {DEFAULT_MAX_PERMS})"
         ),
     )
+    cols = argparse.ArgumentParser(add_help=False)
+    cols.add_argument(
+        "--max-cols",
+        type=int,
+        default=DEFAULT_MAX_DCP_COLS,
+        help=(
+            "column cap of the double-covering search: the matrix's columns for "
+            f"generate dcp, the embedding's for verify dcp (default {DEFAULT_MAX_DCP_COLS})"
+        ),
+    )
 
-    p = sub.add_parser("generate", parents=[fmt, perms], help="enumerate a vertex set")
+    p = sub.add_parser("generate", parents=[fmt, perms, cols], help="enumerate a vertex set")
     p.add_argument("family", choices=("bqp", "lop", "stable", "dcp"))
     p.add_argument("--n", type=int, help="variable count for bqp")
     p.add_argument("--m", type=int, help="element count for lop")
     p.add_argument("--graph", help="graph file for stable")
     p.add_argument("--matrix", help="four-ones matrix file for dcp")
     p.add_argument("--out", help="write the vertex set to this file")
-    p.add_argument(
-        "--max-cols",
-        type=int,
-        default=DEFAULT_MAX_DCP_COLS,
-        help=f"column cap for dcp enumeration (default {DEFAULT_MAX_DCP_COLS})",
-    )
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
@@ -274,19 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_face)
 
     p = sub.add_parser(
-        "verify", parents=[fmt, perms], help="run one of the embedding certifiers"
+        "verify", parents=[fmt, perms, cols], help="run one of the embedding certifiers"
     )
     p.add_argument("construction", choices=("theorem1", "lemma1", "dcp"))
     p.add_argument("--n", type=int, help="variable count for theorem1")
     p.add_argument("--graph", help="graph file for lemma1")
     p.add_argument("--m", type=int, help="element count for dcp")
     p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument(
-        "--max-cols",
-        type=int,
-        default=DEFAULT_DCP_VERIFY_MAX_COLS,
-        help=f"column cap for dcp verification (default {DEFAULT_DCP_VERIFY_MAX_COLS})",
-    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("geometry", parents=[fmt], help="LP-backed predicates on a vertex set")

@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import factorial, isqrt
 from operator import mul, or_
 
@@ -33,8 +33,8 @@ from .core import (
     Permutation,
     Vertex01,
     VertexSet,
+    _KINDS,
     lop_vertex_to_perm,
-    pair_index,
     perm_to_lop_vertex,
     pairs,
     sequence_to_perm,
@@ -50,19 +50,17 @@ from .errors import (
 )
 from .faces import FaceSystem, extract_face, is_valid_inequality
 from .generators import (
+    DEFAULT_MAX_DCP_COLS,
     DEFAULT_MAX_PERMS,
     FourOnesMatrix,
     Graph,
+    _bqp_word,
     bqp_vertices,
     dcp_vertices,
     lop_face,
     lop_vertices,
     stable_vertices,
 )
-
-#: Column budget for double-covering verification (the m = 4 embedding).
-DEFAULT_DCP_VERIFY_MAX_COLS = 18
-
 
 @dataclass(frozen=True)
 class Assertion:
@@ -230,7 +228,7 @@ def _check_lifts(
 
 def _bqp_n_from_dim(dim: int) -> int:
     n = (isqrt(8 * dim + 1) - 1) // 2
-    if n < 1 or n * (n + 1) // 2 != dim:
+    if n < 1 or _KINDS["bqp"].dim(n) != dim:
         raise InvalidVertexError(f"dimension {dim} is not of the form n(n+1)/2")
     return n
 
@@ -283,18 +281,14 @@ def theorem1_project(n: int) -> AffineMapQ:
 
 def _validate_bqp_vertex(x: Vertex01, n: int) -> list[int]:
     """Check the product structure of a quadric vertex; return its diagonal.
-    The word that the diagonal forces, built as ``bqp_vertices`` does, is
-    compared with ``x`` at once; the pairs are searched only on a mismatch."""
+    ``x`` is compared with the word its diagonal forces in bqp(n); the
+    first pair where they differ is at their highest differing bit."""
     diagonal = x.word >> (x.dim - n)
-    diag = [diagonal >> (n - 1 - i) & 1 for i in range(n)]
-    word = diagonal
-    for d_i, d_j in combinations(diag, 2):
-        word = word << 1 | d_i & d_j
-    if word != x.word:
-        i, j = next((i, j) for i, j in pairs(n)
-                    if x.bit(n + pair_index(i, j, n)) != diag[i - 1] * diag[j - 1])
+    expected = _bqp_word(n, diagonal)
+    if expected != x.word:
+        i, j = pairs(n)[x.dim - (expected ^ x.word).bit_length() - n]
         raise InvalidVertexError(f"{x} violates the product structure at pair ({i},{j})")
-    return diag
+    return [diagonal >> (n - 1 - i) & 1 for i in range(n)]
 
 
 def _zeros_ones(bits) -> tuple[list[int], list[int]]:
@@ -569,7 +563,7 @@ def dcp_face_system(emb: DcpEmbedding) -> FaceSystem:
 
 def dcp_verify(
     m: int,
-    max_cols: int = DEFAULT_DCP_VERIFY_MAX_COLS,
+    max_cols: int = DEFAULT_MAX_DCP_COLS,
     max_perms: int = DEFAULT_MAX_PERMS,
 ) -> Report:
     """Certify the double-covering embedding for one m by full enumeration.
@@ -599,7 +593,7 @@ def dcp_verify(
     dcp_set = dcp_vertices(emb.matrix, max_cols=max_cols, layout=emb.layout)
     face = extract_face(dcp_set, dcp_face_system(emb)).face
 
-    projected = {word >> (ncols - len(pairs(m))) for word in face.words}
+    projected = {word >> (ncols - lop.layout.dim) for word in face.words}
     report.check(
         "face_projects_bijectively_onto_lop",
         len(face) == len(lop) and projected == set(lop.words),

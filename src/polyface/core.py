@@ -470,7 +470,7 @@ def lop_pair_bits(m: int) -> tuple[tuple[int, ...], ...]:
     y(a, b) for 1 <= a < b <= m, and 0 for every other a, b in 0..m.
     Built once per m and shared, so it is a tuple of tuples."""
     bits = [[0] * (m + 1) for _ in range(m + 1)]
-    bit = 1 << (m * (m - 1) // 2)
+    bit = 1 << _KINDS["lop"].dim(m)
     for a, b in pairs(m):
         bit >>= 1
         bits[a][b] = bit
@@ -490,7 +490,7 @@ def perm_to_lop_vertex(p: Permutation) -> Vertex01:
     for k, a in enumerate(seq, start=1):
         for b in seq[k:]:
             word |= bits[a][b]
-    return Vertex01(m * (m - 1) // 2, word)
+    return Vertex01(_KINDS["lop"].dim(m), word)
 
 
 def lop_vertex_to_perm(v: Vertex01, m: int) -> Permutation:

@@ -34,8 +34,9 @@ class CapacityError(PolyfaceError):
 class NotSupportingError(PolyfaceError):
     """An equality is not the boundary of any valid inequality over a vertex set.
 
-    Carries the offending form and a violating vertex for both relaxation
-    directions.
+    Carries the offending form and, as ``witness``, the first vertex that
+    violates its ``>=`` relaxation; the message names the first violating
+    vertex of each direction.
     """
 
     def __init__(self, message: str, form=None, witness=None):

@@ -11,15 +11,16 @@ so a scan collects the distinct support patterns of the vertex set in one
 pass and evaluates the form once per pattern.  Words are picked out again
 (the first violating vertex, the vertices on a face) by testing their
 patterns against a set of patterns, in the vertex set's sorted order.
-``cut`` decides one equality this way; ``extract_face`` and
-``generators.lop_face`` both use it.
+``cut`` decides one equality this way, and ``_extraction`` states when a
+face is reported empty; ``extract_face`` and ``generators.lop_face`` both
+use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CoordLayout, LinearForm, Vertex01, VertexSet, pair_index, triples
+from .core import CoordLayout, LinearForm, Vertex01, VertexSet, _KINDS, pair_index, triples
 from .errors import DimensionMismatchError, NotSupportingError, ParseError
 
 
@@ -32,7 +33,7 @@ def three_cycle_forms(m: int) -> list[LinearForm]:
     For each triple: y_ij + y_jk - y_ik >= 0 and y_ij + y_jk - y_ik <= 1.
     Returns an empty list for m < 3.
     """
-    dim = m * (m - 1) // 2
+    dim = _KINDS["lop"].dim(m)
     forms: list[LinearForm] = []
     for i, j, k in triples(m):
         coeffs = [0] * dim
@@ -153,6 +154,13 @@ class FaceExtraction:
     warnings: tuple[str, ...]
 
 
+def _extraction(face: VertexSet, checks, host_empty: bool) -> FaceExtraction:
+    """The extraction of ``face`` under ``checks``: it warns iff the host
+    has a vertex and the face has none."""
+    warnings = (EMPTY_FACE_WARNING,) if not host_empty and not len(face) else ()
+    return FaceExtraction(face, tuple(checks), warnings)
+
+
 def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
     """Vertices of ``v`` lying on every hyperplane of ``fs``.
 
@@ -185,8 +193,4 @@ def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
             )
         checks.append(check)
         surviving = [w for w in surviving if w & form.support_mask in patterns]
-    face = v.restrict_to_words(surviving)
-    warnings = ()
-    if len(v) > 0 and not surviving:
-        warnings = (EMPTY_FACE_WARNING,)
-    return FaceExtraction(face, tuple(checks), warnings)
+    return _extraction(v.restrict_to_words(surviving), checks, host_empty=not words)

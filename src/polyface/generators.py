@@ -17,19 +17,12 @@ columns), and the reader turns what they reject into a ParseError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import gt, lt, mul, or_
 
 from .core import CoordLayout, VertexSet, _kind, lop_pair_bits, pairs
 from .errors import CapacityError, DimensionMismatchError, InvalidParameterError, ParseError
-from .faces import (
-    EMPTY_FACE_WARNING,
-    FaceExtraction,
-    FaceSystem,
-    cut,
-    extract_face,
-    three_cycle_forms,
-)
+from .faces import FaceExtraction, FaceSystem, _extraction, cut, extract_face, three_cycle_forms
 
 #: Largest number of linear orders enumerated by default (8 elements).
 DEFAULT_MAX_PERMS = 40320
@@ -160,15 +153,16 @@ def bqp_vertices(n: int) -> VertexSet:
     _kind("bqp", n)
     diagonals = _all_words(n)
     layout = CoordLayout.bqp(n)
-    off = pairs(n)
-    words = []
-    for d in diagonals:
-        diag = [(d >> (n - 1 - i)) & 1 for i in range(n)]
-        word = d
-        for i, j in off:
-            word = (word << 1) | (diag[i - 1] & diag[j - 1])
-        words.append(word)
-    return VertexSet.from_words(layout, words)
+    return VertexSet.from_words(layout, [_bqp_word(n, d) for d in diagonals])
+
+
+def _bqp_word(n: int, diagonal: int) -> int:
+    """The bqp(n) word whose diagonal is the packed n-bit ``diagonal``:
+    the diagonal, then x(i,i) * x(j,j) for each pair i < j in order."""
+    word = diagonal
+    for d_i, d_j in combinations([diagonal >> (n - 1 - i) & 1 for i in range(n)], 2):
+        word = word << 1 | d_i & d_j
+    return word
 
 
 def lop_vertices(m: int, max_perms: int = DEFAULT_MAX_PERMS) -> VertexSet:
@@ -245,7 +239,8 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
         tests.setdefault(touched[0] if touched else m, []).append((form.support_mask, patterns))
     words = _lop_search(m, range(1, m + 1), tests, max_perms)
     face = VertexSet.from_words(CoordLayout.lop(m), words)
-    return FaceExtraction(face, tuple(checks), () if words else (EMPTY_FACE_WARNING,))
+    # lop(m) holds m! >= 1 orders
+    return _extraction(face, checks, host_empty=False)
 
 
 def _least_extension(m: int, elements, word: int) -> int:

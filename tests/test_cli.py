@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polyface import CoordLayout, LinearForm, VertexSet, lop_vertices
+from polyface import CoordLayout, LinearForm, Report, VertexSet, lop_vertices
 from polyface.cli import build_parser, main
 from polyface.generators import Graph
 
@@ -47,7 +47,7 @@ def test_flags_and_defaults():
         "face": {"--set": None, "--system": None, "--face-out": None, **outputs},
         "verify": {
             "construction": None, "--n": None, "--graph": None, "--m": None,
-            **outputs, "--max-perms": 40320, "--max-cols": 18,
+            **outputs, "--max-perms": 40320, "--max-cols": 40,
         },
         "geometry": {
             "check": None, "--set": None, "--u": None, "--v": None, "--subset": None,
@@ -251,10 +251,13 @@ class TestVerify:
         assert "rows: 4" in stdout
 
     def test_dcp_cap(self, capsys):
+        # the m = 5 embedding has 32 columns and m = 6 has 52; the default cap is 40
         code, _, _ = run(capsys, "verify", "dcp", "--m", "5")
+        assert code == 0
+        code, _, _ = run(capsys, "verify", "dcp", "--m", "6")
         assert code == 2
         code, stdout, _ = run(
-            capsys, "verify", "dcp", "--m", "5", "--max-cols", "32"
+            capsys, "verify", "dcp", "--m", "6", "--max-cols", "52"
         )
         assert code == 0
 
@@ -403,6 +406,19 @@ class TestGeometryCommand:
         assert code == 0
         assert "subsets_checked: 56" in stdout
 
+    def test_neighborly_failure_names_first_subset(self, capsys, tmp_path):
+        path = tmp_path / "lop4.vs"
+        path.write_text(lop_vertices(4).to_text())
+        code, stdout, _ = run(capsys, "geometry", "neighborly", "--set", str(path),
+                              "--k", "2", "--format", "json")
+        assert code == 1
+        report = json.loads(stdout)
+        assert report["assertions"] == [{
+            "name": "all_2_subsets_are_faces", "pass": False,
+            "witness": '["000000", "000111"]',
+        }]
+        assert report["details"] == {"subsets_checked": 5}
+
 
 class TestReportCommand:
     def test_renders_stored_report(self, capsys, tmp_path):
@@ -427,6 +443,26 @@ class TestReportCommand:
         code, stdout, _ = run(capsys, "report", "--in", str(report_path))
         assert code == 1
         assert "FAIL broken" in stdout
+
+    def test_failing_report_round_trips(self, capsys, tmp_path):
+        report = Report("demo", {"k": 2})
+        report.check("broken", False, witness='["000000", "000111"]')
+        text = report.to_json()
+        assert Report.from_json_obj(json.loads(text)).to_json() == text
+        report_path = tmp_path / "report.json"
+        report_path.write_text(text)
+        code, stdout, _ = run(capsys, "report", "--in", str(report_path))
+        assert code == 1
+        assert '  FAIL broken  [witness: ["000000", "000111"]]\n' in stdout
+
+    def test_non_json_report_is_an_error(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        report_path.write_text("not json\n")
+        code, stdout, stderr = run(capsys, "report", "--in", str(report_path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: bad report JSON")
+        assert len(stderr.splitlines()) == 1
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, stderr = run(

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 import polyface.constructions as constructions
 from polyface import (
     CapacityError,
+    CoordLayout,
+    DimensionMismatchError,
     FaceSystem,
+    FourOnesMatrix,
     Graph,
     InvalidParameterError,
     InvalidVertexError,
@@ -516,12 +519,12 @@ class TestDcpVerify:
         with pytest.raises(InvalidParameterError):
             dcp_verify(m)
 
-    def test_m5_needs_budget(self):
+    def test_m6_needs_budget(self):
         with pytest.raises(CapacityError):
-            dcp_verify(5)
-        report = dcp_verify(5, max_cols=32)
+            dcp_verify(6)
+        report = dcp_verify(6, max_cols=52)
         assert report.all_passed
-        assert report.details["face_size"] == 120
+        assert report.details["face_size"] == 720
 
     def test_complement_coordinates_on_face(self):
         # on the face the paired column is the logical complement
@@ -552,6 +555,22 @@ class TestReport:
         text = theorem1_verify(2).render_text()
         assert "PASS face_cardinality" in text
         assert "result: PASS" in text
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: theorem1_verify(0), InvalidParameterError),
+    (lambda: theorem1_project(0), InvalidParameterError),
+    (lambda: lemma1_project(0), InvalidParameterError),
+    (lambda: lemma1_lift(Vertex01.from_string("101"), Graph.empty(2)), DimensionMismatchError),
+    (lambda: lop_vertex_to_perm(Vertex01.from_string("10"), 3), DimensionMismatchError),
+    (lambda: dcp_vertices(FourOnesMatrix.from_rows(4, [(1, 2, 3, 4)]),
+                          layout=CoordLayout.dcp(5)), InvalidParameterError),
+    (lambda: Report("demo", {}).assertion("missing"), KeyError),
+], ids=["theorem1_verify", "theorem1_project", "lemma1_project", "lemma1_lift",
+        "lop_vertex_to_perm", "dcp_vertices", "report_assertion"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _unit_row(a: int, b: int, m: int) -> list[Fraction]:
