@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_PERMS,
         help=(
             "linear-order budget: every order for generate lop and verify dcp, "
-            f"the face's orders for verify theorem1 and lemma1 (default {DEFAULT_MAX_PERMS})"
+            "the face's orders for verify theorem1, (n!)^2 for verify lemma1 "
+            f"(default {DEFAULT_MAX_PERMS})"
         ),
     )
     cols = argparse.ArgumentParser(add_help=False)

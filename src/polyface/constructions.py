@@ -11,20 +11,20 @@
 
 Each ``*_verify`` routine returns a structured report of named assertions;
 failures become report entries with witnesses, never crashes.
-``theorem1_verify`` and ``lemma1_verify`` enumerate only the face
-(``lop_face``), so they reach past the m! orders of the host.
+``theorem1_verify`` enumerates only the face (``lop_face``), and
+``lemma1_verify`` counts its face's orders by their images, so both reach
+past the m! orders of the host.
 ``dcp_verify`` enumerates both vertex sets in full.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import accumulate
 from math import factorial, isqrt
-from operator import mul, or_
+from operator import mul
 
 from .core import (
     AffineMapQ,
@@ -55,6 +55,7 @@ from .generators import (
     FourOnesMatrix,
     Graph,
     _bqp_word,
+    _count_orders,
     bqp_vertices,
     dcp_vertices,
     lop_face,
@@ -195,22 +196,22 @@ def _check_identities(
 
 
 def _check_lifts(
-    report: Report, face: VertexSet, projection: AffineMapQ,
+    report: Report, on_face: Callable[[int], bool], projection: AffineMapQ,
     lifts: list[tuple[Vertex01, Permutation]], back_name: str,
 ) -> list[int]:
     """Record that each permutation lift lands on the face of the order
-    polytope and projects back onto its target vertex.
+    polytope, as the test ``on_face(word)`` reads it, and projects back onto
+    its target vertex.
 
     ``lifts`` pairs each target vertex with its lift, in sorted target order;
     each witness names the first failing target.  Returns the lifted words.
     """
-    face_words = frozenset(face.words)
     words = []
     witness_face = witness_back = None
     for x, perm in lifts:
         word = perm_to_lop_vertex(perm).word
         words.append(word)
-        if witness_face is None and word not in face_words:
+        if witness_face is None and not on_face(word):
             witness_face = f"lift of {x} -> {perm.sequence_str()}"
         image = projection.apply_word(word)
         if witness_back is None and image != x.word:
@@ -228,8 +229,11 @@ def _check_lifts(
 
 def _bqp_n_from_dim(dim: int) -> int:
     n = (isqrt(8 * dim + 1) - 1) // 2
-    if n < 1 or _KINDS["bqp"].dim(n) != dim:
+    if _KINDS["bqp"].dim(n) != dim:
         raise InvalidVertexError(f"dimension {dim} is not of the form n(n+1)/2")
+    if n < 1:
+        raise InvalidVertexError(f"dimension {dim} is n(n+1)/2 for n = {n}, "
+                                 "but a quadric vertex needs n >= 1")
     return n
 
 
@@ -375,7 +379,8 @@ def theorem1_verify(n: int, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     _check_identities(report, face, "identity_product", product)
 
     lifts = [(x, theorem1_lift(x)) for x in bqp]
-    lift_words = _check_lifts(report, face, projection, lifts, "lift_roundtrip")
+    lift_words = _check_lifts(
+        report, frozenset(face.words).__contains__, projection, lifts, "lift_roundtrip")
     report.check(
         "face_equals_lift_image",
         set(face.words) == set(lift_words),
@@ -454,14 +459,20 @@ def lemma1_lift(x: Vertex01, g: Graph) -> Permutation:
 def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     """Certify the stable-set projection for one graph.
 
-    The face is found by the face search, and ``max_perms`` bounds the orders
-    it emits.  Every order that puts n+1, ..., 2n before 1, ..., n is on the
-    face, whatever the edges, so n with (n!)^2 > max_perms is refused before
-    anything is built.  ``lop_size`` in the details is (2n)!.
+    The face is the set of orders on [2n] that put b before a for every
+    equality y(a, b) = 0 of the graph's system, so it is counted, not
+    enumerated: ``_count_orders`` splits its orders by their images, the
+    bits y(i, n+i) that the projection reads.  ``face_size`` is the sum of
+    these counts and ``fibers`` are the counts.  The count holds at most
+    5^n states, and every order that puts n+1, ..., 2n before 1, ..., n is
+    on the face, whatever the edges; since 5^n <= (n!)^2 for n >= 5, n
+    with (n!)^2 > max_perms is refused before anything is built.
+    ``lop_size`` in the details is (2n)!.
 
     The image of the face under the coordinate projection must equal the
     stable-set vertex set (a projection, not a bijection; fiber sizes are
-    recorded), and the lift of every stable vertex must land on the face.
+    recorded), and the lift of every stable vertex must meet the system's
+    equalities.
     """
     n = g.n
     # (n!)^2 > max_perms, multiplied out only until it passes the budget
@@ -473,30 +484,37 @@ def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
         )
     edges = [f"{i} {j}" for i, j in g.sorted_edges()]
     report = Report("lemma1", {"n": n, "edges": edges})
-    face = lop_face(lemma1_system(g), max_perms=max_perms).face
+    system = lemma1_system(g)
     stable = stable_vertices(g)
     projection = lemma1_project(n)
 
-    # an image reads only the bits under the rows' masks: project each
-    # pattern there once, counted by the face words that show it
-    support = reduce(or_, (row.support_mask for row in projection.rows), 0)
-    fibers = Counter()
-    for pattern, count in Counter(map(support.__and__, face.words)).items():
-        fibers[projection.apply_word(pattern)] += count
+    # each equality and each projection row reads one coordinate y(a, b):
+    # y(a, b) = 0 puts b before a, and y(a, b) = 1 puts a before b
+    pair_list = pairs(2 * n)
+
+    def pair(form: LinearForm) -> tuple[int, int]:
+        return pair_list[form.coeffs.index(1)]
+
+    precedences = [pair(form) if form.rhs else pair(form)[::-1] for form in system.equalities]
+    splits = [pair(row) for row in projection.rows]
+    fibers = _count_orders(2 * n, precedences, splits)
     report.check(
         "projection_image_equals_stable_set",
         set(fibers) == set(stable.words),
         witness=f"image size {len(fibers)}, stable size {len(stable)}",
     )
 
+    def on_face(word: int) -> bool:
+        return all(form.holds(form.evaluate_word(word)) for form in system.equalities)
+
     lifts = [(x, lemma1_lift(x, g)) for x in stable]
-    _check_lifts(report, face, projection, lifts, "lift_projects_back")
+    _check_lifts(report, on_face, projection, lifts, "lift_projects_back")
 
     report.details = {
         "n": n,
         "edges": edges,
         "lop_size": factorial(2 * n),
-        "face_size": len(face),
+        "face_size": sum(fibers.values()),
         "stable_size": len(stable),
         "fibers": {
             word_to_string(w, stable.layout.dim): c for w, c in sorted(fibers.items())

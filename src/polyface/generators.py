@@ -3,7 +3,9 @@
 Every generator returns a canonical VertexSet (deduplicated, lexicographically
 sorted), so outputs are reproducible byte for byte.  ``lop_face`` returns the
 face that an equality system cuts out of lop(m), found by the insertion
-search that ``lop_vertices`` runs, without enumerating lop(m).  The order and column
+search that ``lop_vertices`` runs, without enumerating lop(m); the private
+``_count_orders`` counts the orders that meet given precedences, split by
+their patterns on given pairs, without listing them.  The order and column
 budgets are keyword arguments with package-wide defaults.  Every 2^d scan
 (bqp, stable, and the two brute-force oracles kept to cross-check the
 enumerators) and the backtracking search stop at one cap, ``MAX_VECTORS``.
@@ -306,6 +308,49 @@ def _lop_search(m: int, elements, tests: dict, max_perms: int) -> list[int]:
 
     insert_below((), 0, k - 1)
     return words
+
+
+def _count_orders(m: int, precedences, splits) -> dict[int, int]:
+    """The number of orders on [m] that put a before b for every (a, b) in
+    ``precedences``, keyed by the pattern they show on the disjoint pairs
+    ``splits``: one bit per split pair (a, b), the first pair most
+    significant, that is 1 when a comes before b, so y(a, b) when a < b.  A
+    pattern that no order shows is absent, and cyclic precedences give {}.
+
+    The (+, x) subset DP over downsets builds the orders left to right.  A
+    state is the set of placed elements with the bits decided so far, one
+    int: element e is bit e - 1, and the pattern sits above bit m.  Element
+    e may be placed once all the elements that must precede it are, and a
+    split pair's bit is decided when the first of its two elements is
+    placed.  Each layer maps its states to their numbers of prefixes.  A
+    split pair is in one of five states (neither placed, one of the two, or
+    both in one of two orders), so when the split pairs cover [m] the
+    layers hold at most 5^(m/2) states in all.
+
+    >>> sorted(_count_orders(3, [(3, 1)], [(1, 2)]).items())  # 321 231 | 312
+    [(0, 2), (1, 1)]
+    >>> _count_orders(3, [(1, 2), (2, 3), (3, 1)], [(1, 2)])
+    {}
+    """
+    before = [0] * (m + 1)  # before[e]: the elements that precede e, as a mask
+    for a, b in precedences:
+        before[b] |= 1 << (a - 1)
+    decides = [(0, 0)] * (m + 1)  # decides[a]: b's bit and the pattern bit a sets before b
+    for t, (a, b) in enumerate(splits):
+        decides[a] = (1 << (b - 1), 1 << (m + len(splits) - 1 - t))
+    moves = [(1 << (e - 1), before[e], *decides[e]) for e in range(1, m + 1)]
+    full = (1 << m) - 1
+    layer = {0: 1}
+    for _ in range(m):
+        grown: dict[int, int] = {}
+        for state, count in layer.items():
+            placed = state & full
+            for bit, need, partner, key in moves:
+                if not placed & bit and need & placed == need:
+                    new = state | bit | (0 if placed & partner else key)
+                    grown[new] = grown.get(new, 0) + count
+        layer = grown
+    return {state >> m: count for state, count in layer.items()}
 
 
 def lop_vertices_oracle(m: int) -> VertexSet:

@@ -52,6 +52,9 @@ LEMMA1 = {
 #: Lemma 1 on the 5-cycle, the largest graph the default budget allows.
 LEMMA1_C5 = "fd0722151128ac2135b16005ed8d8fd6ac2d3508a5d1b9e45f1c1a69ccb69b14"
 
+#: Lemma 1 on the 6-cycle, whose face holds 2128896 orders.
+LEMMA1_C6 = "15911d1e2f2f2fb2ef7a14160981498ca3413b48197c21ecd372a39d88134af2"
+
 DCP = {
     3: "a223648c842d16945fbd52874c595747fcd297d6c6955632b51d90d7776dc928",
     4: "5e3893d7d41b3cfd419367795046e01ead8413b4b4223733634e30eb8619c3a3",
@@ -91,6 +94,11 @@ def test_lemma1_report_bytes(key):
 def test_lemma1_c5_report_bytes():
     c5 = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     assert sha256(lemma1_verify(c5).to_json()) == LEMMA1_C5
+
+
+def test_lemma1_c6_report_bytes():
+    c6 = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
+    assert sha256(lemma1_verify(c6, max_perms=518400).to_json()) == LEMMA1_C6
 
 
 @pytest.mark.parametrize("m", sorted(DCP))

@@ -1,9 +1,10 @@
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from polyface import (
     Graph,
     InvalidParameterError,
     InvalidVertexError,
+    LinearForm,
     Permutation,
     Report,
     Vertex01,
@@ -179,8 +181,15 @@ class TestTheorem1Lift:
                 theorem1_lift(x)
 
     def test_bad_dimension_rejected(self):
-        with pytest.raises(InvalidVertexError):
+        with pytest.raises(InvalidVertexError, match=r"^dimension 4 is not of the form n\(n\+1\)/2$"):
             theorem1_lift(Vertex01.from_string("1100"))
+
+    def test_dimension_zero_names_the_least_n(self):
+        # 0 = 0 * 1 / 2, so the reason is n >= 1, not the form of the dimension
+        with pytest.raises(InvalidVertexError) as error:
+            theorem1_lift(Vertex01(0, 0))
+        assert str(error.value) == ("dimension 0 is n(n+1)/2 for n = 0, "
+                                    "but a quadric vertex needs n >= 1")
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=16))
     def test_positions_partition_even_range(self, diag):
@@ -430,11 +439,38 @@ class TestLemma1Verify:
             assert lop_face(fs).face == extract_face(host, fs).face, g.sorted_edges()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_report_bytes_match_host_scan_route_on_every_graph(self, n, lop8, monkeypatch):
-        graphs = every_graph(n)
-        expected = [lemma1_verify(g).to_json() for g in graphs]
-        scan_host(monkeypatch, lop8)
-        assert [lemma1_verify(g).to_json() for g in graphs] == expected
+    def test_report_bytes_match_host_scan_route_on_every_graph(self, n, lop8):
+        # the counted fields, recomputed from the face that extract_face cuts
+        # out of the whole of lop(2n), leave the report's bytes as they are
+        host = lop8 if n == 4 else lop_vertices(2 * n)
+        proj = lemma1_project(n)
+        for g in every_graph(n):
+            report = lemma1_verify(g)
+            face = extract_face(host, lemma1_system(g)).face
+            fibers = Counter(proj.apply_word(w) for w in face.words)
+            scanned = replace(report, details=report.details | {
+                "face_size": len(face),
+                "fibers": {word_to_string(w, n): c for w, c in sorted(fibers.items())},
+            })
+            assert scanned.to_json() == report.to_json(), g.sorted_edges()
+            lifts = {perm_to_lop_vertex(lemma1_lift(x, g)).word for x in stable_vertices(g)}
+            assert lifts <= set(face.words), g.sorted_edges()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_counts_match_face_search_on_seeded_five_vertex_graphs(self, seed):
+        rng = random.Random(500 + seed)
+        g = Graph.from_edges(5, [p for p in pairs(5) if rng.random() < 0.5])
+        face = lop_face(lemma1_system(g), max_perms=factorial(10)).face
+        # the projection reads only the bits under its rows' masks
+        proj = lemma1_project(5)
+        support = sum(row.support_mask for row in proj.rows)
+        fibers = Counter()
+        for pattern, count in Counter(w & support for w in face.words).items():
+            fibers[proj.apply_word(pattern)] += count
+        details = lemma1_verify(g).details
+        assert details["face_size"] == len(face)
+        assert details["fibers"] == {
+            word_to_string(w, 5): count for w, count in sorted(fibers.items())}
 
     def test_cap_exceeded(self):
         # the face holds every order with 6, ..., 10 before 1, ..., 5: (5!)^2 = 14400
@@ -443,6 +479,12 @@ class TestLemma1Verify:
             lemma1_verify(cycle, max_perms=14399)
         report = lemma1_verify(Graph.complete(5), max_perms=17280)
         assert report.all_passed and report.details["face_size"] == 17280
+
+    def test_edgeless_five_vertex_graph_passes_at_the_default_budget(self):
+        # its face holds all 10! orders, over the default budget, but is counted
+        report = lemma1_verify(Graph.empty(5))
+        assert report.all_passed and report.details["face_size"] == 3628800
+        assert report.details["fibers"] == {word_to_string(w, 5): 113400 for w in range(32)}
 
     def test_huge_graph_refused_before_its_system(self, monkeypatch):
         def fail(*_):
@@ -646,6 +688,27 @@ def change_face(monkeypatch, drop=(), add=()):
     monkeypatch.setattr(constructions, "lop_face", changed)
 
 
+def change_lemma1(monkeypatch, equalities=(), drop=()):
+    """Make ``lemma1_verify`` see its graph's system with the extra
+    ``equalities``, each (a, b, r) for y(a, b) = r, and counts with one order
+    fewer of each pattern in ``drop``."""
+    system, count = constructions.lemma1_system, constructions._count_orders
+
+    def extended(g):
+        fs = system(g)
+        extra = [LinearForm(tuple(int(pair == (a, b)) for pair in pairs(2 * g.n)), "=", r)
+                 for a, b, r in equalities]
+        return FaceSystem(fs.layout, fs.equalities + tuple(extra))
+
+    def counted(m, precedences, splits):
+        counts = Counter(count(m, precedences, splits))
+        counts.subtract(drop)
+        return {key: c for key, c in counts.items() if c > 0}
+
+    monkeypatch.setattr(constructions, "lemma1_system", extended)
+    monkeypatch.setattr(constructions, "_count_orders", counted)
+
+
 class TestVerifierFailures:
     """Faces with vertices removed or added make named assertions fail;
     every witness names the first failing vertex in sorted order."""
@@ -703,28 +766,36 @@ class TestVerifierFailures:
         assert theorem1_verify(2).details["face_sequences"] == [
             lop_vertex_to_perm(Vertex01(6, w), 4).sequence_str() for w in sorted(face)]
 
-    @pytest.mark.parametrize("word,expected", [
-        ("000000", {"lift_lands_on_face": "lift of 00 -> 4321"}),
-        ("000001", {}),
-        ("000011", {
+    # the face of the edge 12 holds 3412, 3421, 4312 and 4321 over 00, 3241
+    # over 01 and 4132 over 10
+    @pytest.mark.parametrize("equalities,drop,expected", [
+        # y(2,4) = 0 cuts 3241 alone, and y(1,3) = 0 cuts 4132 alone
+        ([(2, 4, 0)], [], {
             "projection_image_equals_stable_set": "image size 2, stable size 3",
             "lift_lands_on_face": "lift of 01 -> 3241",
         }),
-        ("110000", {
+        ([(1, 3, 0)], [], {
             "projection_image_equals_stable_set": "image size 2, stable size 3",
             "lift_lands_on_face": "lift of 10 -> 4132",
         }),
-    ])
-    def test_lemma1_face_vertex_removed(self, word, expected, monkeypatch):
-        change_face(monkeypatch, drop=[int(word, 2)])
+        # 1 before 2 cuts 4321, 3421 and 3241
+        ([(1, 2, 1)], [], {
+            "projection_image_equals_stable_set": "image size 2, stable size 3",
+            "lift_lands_on_face": "lift of 00 -> 4321",
+        }),
+        ([], [0b00], {}),
+        ([], [0b01], {"projection_image_equals_stable_set": "image size 2, stable size 3"}),
+    ], ids=["cut-3241", "cut-4132", "cut-4321", "one-order-fewer", "fiber-lost"])
+    def test_lemma1_face_changed(self, equalities, drop, expected, monkeypatch):
+        change_lemma1(monkeypatch, equalities, drop)
         report = lemma1_verify(Graph.from_edges(2, [(1, 2)]))
         assert failing(report) == expected
 
     def test_lemma1_first_missing_lift_is_witness(self, monkeypatch):
-        g = Graph.empty(2)
-        change_face(monkeypatch, drop=[perm_to_lop_vertex(lemma1_lift(x, g)).word
-                                       for x in stable_vertices(g)])
-        report = lemma1_verify(g)
+        # 1 before 2 cuts the lifts 4321, 3241 and 2143 of the edgeless graph
+        # but leaves 3412, 3124, 4132 and 1234 over the four stable sets
+        change_lemma1(monkeypatch, equalities=[(1, 2, 1)])
+        report = lemma1_verify(Graph.empty(2))
         assert failing(report) == {"lift_lands_on_face": "lift of 00 -> 4321"}
 
     def test_dcp_first_failing_identity_is_witness(self, monkeypatch):

@@ -30,6 +30,7 @@ from polyface.core import (
     CoordLayout,
     Vertex01,
     VertexSet,
+    lop_pair_bits,
     lop_vertex_to_perm,
     pair_index,
     pairs,
@@ -291,6 +292,55 @@ class TestLopFace:
     def test_needs_a_lop_layout(self):
         with pytest.raises(DimensionMismatchError, match="system over lop"):
             lop_face(FaceSystem(CoordLayout.bqp(3), ()))
+
+
+def count_orders_by_scan(m: int, precedences, splits) -> dict[int, int]:
+    """``_count_orders`` by brute force: every word of lop(m), tested pair by pair."""
+    pair_bits = lop_pair_bits(m)
+
+    def first(word, a, b):  # a comes before b
+        return bool(word & pair_bits[a][b]) if a < b else not word & pair_bits[b][a]
+
+    counts = Counter()
+    for word in lop_vertices(m).words:
+        if all(first(word, a, b) for a, b in precedences):
+            counts[sum(first(word, a, b) << (len(splits) - 1 - t)
+                       for t, (a, b) in enumerate(splits))] += 1
+    return dict(counts)
+
+
+class TestCountOrders:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_scan_on_seeded_precedences(self, m):
+        rng = random.Random(2000 + m)
+        outcomes = Counter()
+        for _ in range(30):
+            ordered = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs(m)]
+            precedences = rng.sample(ordered, rng.randint(0, min(len(ordered), m)))
+            elements = rng.sample(range(1, m + 1), m)
+            splits = [tuple(elements[k:k + 2]) for k in range(0, m - 1, 2)][:rng.randint(0, m // 2)]
+            counts = generators._count_orders(m, precedences, splits)
+            assert counts == count_orders_by_scan(m, precedences, splits), (precedences, splits)
+            outcomes["empty" if not counts else "orders"] += 1
+        # a cycle needs three elements
+        assert set(outcomes) == ({"empty", "orders"} if m >= 3 else {"orders"}), outcomes
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_cyclic_precedences_count_nothing(self, m):
+        cycle = [(a, a % m + 1) for a in range(1, m + 1)]
+        assert generators._count_orders(m, cycle, [(1, 2)]) == {}
+        assert count_orders_by_scan(m, cycle, [(1, 2)]) == {}
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_no_precedences_count_every_order(self, m):
+        counts = generators._count_orders(m, [], [])
+        assert counts == {0: math.factorial(m)}
+
+    def test_pattern_bits_follow_the_split_order(self):
+        # (2, 1) is 1 when 2 precedes 1, and the first split pair is the high bit
+        counts = generators._count_orders(3, [(3, 2)], [(2, 1), (1, 3)])
+        assert counts == count_orders_by_scan(3, [(3, 2)], [(2, 1), (1, 3)])
+        assert counts == {0b10: 1, 0b01: 1, 0b00: 1}
 
 
 class TestOrderSearch:
