@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_PERMS,
         help=(
-            "linear-order budget: every order for generate lop and verify dcp, "
-            "the face's orders for verify theorem1, (n!)^2 for verify lemma1 "
+            "order budget: every order for generate lop and verify dcp, the "
+            "face's orders for verify theorem1, the count's 5^n states for verify lemma1 "
             f"(default {DEFAULT_MAX_PERMS})"
         ),
     )

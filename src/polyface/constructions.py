@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial, isqrt
 from operator import mul
 
@@ -464,10 +464,8 @@ def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     enumerated: ``_count_orders`` splits its orders by their images, the
     bits y(i, n+i) that the projection reads.  ``face_size`` is the sum of
     these counts and ``fibers`` are the counts.  The count holds at most
-    5^n states, and every order that puts n+1, ..., 2n before 1, ..., n is
-    on the face, whatever the edges; since 5^n <= (n!)^2 for n >= 5, n
-    with (n!)^2 > max_perms is refused before anything is built.
-    ``lop_size`` in the details is (2n)!.
+    5^n states, so n with 5^n > max_perms is refused before anything is
+    built.  ``lop_size`` in the details is (2n)!.
 
     The image of the face under the coordinate projection must equal the
     stable-set vertex set (a projection, not a bijection; fiber sizes are
@@ -475,11 +473,10 @@ def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     equalities.
     """
     n = g.n
-    # (n!)^2 > max_perms, multiplied out only until it passes the budget
-    factorials = accumulate(range(1, n + 1), mul)
-    if any(count * count > max_perms for count in factorials):
+    # 5^n > max_perms, multiplied out only until it passes the budget
+    if any(states > max_perms for states in accumulate(repeat(5, n), mul)):
         raise CapacityError(
-            f"the lemma-1 face of a graph on {n} vertices has at least ({n}!)^2 orders, "
+            f"the lemma-1 count for a graph on {n} vertices may hold 5^{n} states, "
             f"over the budget of {max_perms}; raise max_perms to allow it"
         )
     edges = [f"{i} {j}" for i, j in g.sorted_edges()]

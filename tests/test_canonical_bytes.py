@@ -49,7 +49,7 @@ LEMMA1 = {
     ),
 }
 
-#: Lemma 1 on the 5-cycle, the largest graph the default budget allows.
+#: Lemma 1 on the 5-cycle at the default budget.
 LEMMA1_C5 = "fd0722151128ac2135b16005ed8d8fd6ac2d3508a5d1b9e45f1c1a69ccb69b14"
 
 #: Lemma 1 on the 6-cycle, whose face holds 2128896 orders.

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polyface import CoordLayout, LinearForm, Report, VertexSet, lop_vertices
+from polyface import CoordLayout, LinearForm, Report, VertexSet, bqp_vertices, lop_vertices
 from polyface.cli import build_parser, main
 from polyface.generators import Graph
 
@@ -323,6 +323,28 @@ class TestGeometryCommand:
         assert code == 1
         assert f"ambiguous vertex selector '{u}'" in stderr
         assert message in stderr
+
+    @pytest.mark.parametrize("family, argv, message", [
+        ("lop", ["adjacent", "--u", "abc", "--v", "0"], "bad vertex selector: 'abc'"),
+        ("lop", ["adjacent", "--u", "9", "--v", "0"], "vertex index 9 out of range [0, 6)"),
+        ("lop", ["face", "--subset", "theorem1-face"],
+         "needs a lop set on an even element count"),
+        ("bqp", ["face", "--subset", "theorem1-face"],
+         "needs a lop set on an even element count"),
+        ("lop", ["face", "--subset", "theorem1-face", "0"],
+         "cannot be mixed with other selectors"),
+        ("lop", ["face"], "this check requires --subset"),
+        ("lop", ["neighborly", "--k", "0"], "--k must be in [1, 6]"),
+        ("lop", ["neighborly", "--k", "7"], "--k must be in [1, 6]"),
+    ], ids=["bad_selector", "index_out_of_range", "theorem1_face_on_odd_lop",
+            "theorem1_face_on_bqp", "theorem1_face_mixed", "no_subset", "k_zero", "k_too_big"])
+    def test_refused_selector(self, capsys, tmp_path, family, argv, message):
+        path = tmp_path / "set.vs"
+        path.write_text((lop_vertices(3) if family == "lop" else bqp_vertices(2)).to_text())
+        code, stdout, stderr = run(capsys, "geometry", argv[0], "--set", str(path), *argv[1:])
+        assert code == 1 and stdout == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
 
     def test_selector_readings_that_agree(self, capsys, tmp_path):
         path = tmp_path / "lop2.vs"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -20,8 +21,11 @@ from polyface import (
     Graph,
     InvalidParameterError,
     InvalidVertexError,
+    LPProblem,
     LinearForm,
+    ParseError,
     Permutation,
+    RationalPoint,
     Report,
     Vertex01,
     VertexSet,
@@ -36,6 +40,7 @@ from polyface import (
     lemma1_system,
     lemma1_verify,
     lop_vertices,
+    lp_feasible,
     pair_index,
     perm_to_lop_vertex,
     sequence_to_perm,
@@ -473,12 +478,11 @@ class TestLemma1Verify:
             word_to_string(w, 5): count for w, count in sorted(fibers.items())}
 
     def test_cap_exceeded(self):
-        # the face holds every order with 6, ..., 10 before 1, ..., 5: (5!)^2 = 14400
+        # the count on 5 vertices may hold 5^5 = 3125 states
         cycle = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-        with pytest.raises(CapacityError, match=r"\(5!\)\^2 orders, over the budget of 14399"):
-            lemma1_verify(cycle, max_perms=14399)
-        report = lemma1_verify(Graph.complete(5), max_perms=17280)
-        assert report.all_passed and report.details["face_size"] == 17280
+        with pytest.raises(CapacityError, match=r"5\^5 states, over the budget of 3124"):
+            lemma1_verify(cycle, max_perms=3124)
+        assert lemma1_verify(cycle, max_perms=3125).all_passed
 
     def test_edgeless_five_vertex_graph_passes_at_the_default_budget(self):
         # its face holds all 10! orders, over the default budget, but is counted
@@ -486,13 +490,33 @@ class TestLemma1Verify:
         assert report.all_passed and report.details["face_size"] == 3628800
         assert report.details["fibers"] == {word_to_string(w, 5): 113400 for w in range(32)}
 
+    def test_every_five_vertex_graph_passes_at_the_default_budget(self):
+        graphs = every_graph(5)
+        assert len(graphs) == 1024
+        for g in graphs:
+            assert lemma1_verify(g).all_passed, g.sorted_edges()
+
+    def test_six_vertex_graphs_pass_at_the_default_budget(self):
+        rng = random.Random(600)
+        graphs = [Graph.from_edges(6, [p for p in pairs(6) if rng.random() < 0.5])
+                  for _ in range(50)]
+        graphs.append(Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]))
+        for g in graphs:
+            assert lemma1_verify(g).all_passed, g.sorted_edges()
+
+    def test_seven_vertex_graph_needs_5_to_the_7_states(self):
+        with pytest.raises(CapacityError, match=r"5\^7 states, over the budget of 40320"):
+            lemma1_verify(Graph.empty(7))
+        report = lemma1_verify(Graph.empty(7), max_perms=78125)
+        assert report.all_passed and report.details["face_size"] == factorial(14)
+
     def test_huge_graph_refused_before_its_system(self, monkeypatch):
         def fail(*_):
             raise AssertionError("built for a refused graph")
 
         monkeypatch.setattr(constructions, "lemma1_system", fail)
         monkeypatch.setattr(constructions, "stable_vertices", fail)
-        with pytest.raises(CapacityError, match=r"\(100!\)\^2"):
+        with pytest.raises(CapacityError, match=r"5\^100 states"):
             lemma1_verify(Graph.complete(100))
 
 
@@ -599,19 +623,52 @@ class TestReport:
         assert "result: PASS" in text
 
 
-@pytest.mark.parametrize("call,error", [
-    (lambda: theorem1_verify(0), InvalidParameterError),
-    (lambda: theorem1_project(0), InvalidParameterError),
-    (lambda: lemma1_project(0), InvalidParameterError),
-    (lambda: lemma1_lift(Vertex01.from_string("101"), Graph.empty(2)), DimensionMismatchError),
-    (lambda: lop_vertex_to_perm(Vertex01.from_string("10"), 3), DimensionMismatchError),
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: theorem1_verify(0), InvalidParameterError, "need n >= 1, got 0"),
+    (lambda: theorem1_project(0), InvalidParameterError, "need n >= 1, got 0"),
+    (lambda: lemma1_project(0), InvalidParameterError, "need n >= 1, got 0"),
+    (lambda: lemma1_lift(Vertex01.from_string("101"), Graph.empty(2)), DimensionMismatchError,
+     "vertex of dim 3 for a graph on 2 vertices"),
+    (lambda: lop_vertex_to_perm(Vertex01.from_string("10"), 3), DimensionMismatchError,
+     "cannot encode a linear order on [3]"),
     (lambda: dcp_vertices(FourOnesMatrix.from_rows(4, [(1, 2, 3, 4)]),
-                          layout=CoordLayout.dcp(5)), InvalidParameterError),
-    (lambda: Report("demo", {}).assertion("missing"), KeyError),
+                          layout=CoordLayout.dcp(5)), InvalidParameterError,
+     "layout of dimension 5 for a 4-column matrix"),
+    (lambda: Report("demo", {}).assertion("missing"), KeyError, "missing"),
+    # core
+    (lambda: CoordLayout.lop(3).index_of("q"), InvalidParameterError,
+     "no coordinate labelled 'q'"),
+    (lambda: CoordLayout.from_header("layout lop"), ParseError, "bad layout header"),
+    (lambda: CoordLayout.from_header("layout lop x"), ParseError, "bad layout parameter: 'x'"),
+    (lambda: CoordLayout.from_json_obj({"param": 3}), ParseError, "bad layout object"),
+    (lambda: Vertex01(-1, 0), InvalidVertexError, "dimension must be >= 0, got -1"),
+    (lambda: Vertex01(3, 0).bit(3), InvalidVertexError, "coordinate 3 out of range for dim 3"),
+    (lambda: VertexSet.from_text(""), ParseError, "empty vertex-set file"),
+    (lambda: VertexSet.from_json_obj({}), ParseError, "bad vertex-set object"),
+    (lambda: VertexSet.from_json("{"), ParseError, "bad JSON"),
+    (lambda: sequence_to_perm("1a2"), ParseError, "bad permutation sequence: '1a2'"),
+    (lambda: LinearForm((1,), "<", 0), InvalidParameterError, "relation must be one of"),
+    (lambda: LinearForm.parse("1 x = 0"), ParseError, "bad integer in form line"),
+    # generators
+    (lambda: Graph(0, frozenset()), InvalidParameterError, "graph needs n >= 1, got 0"),
+    (lambda: FourOnesMatrix(0, ()), InvalidParameterError, "matrix needs >= 1 column, got 0"),
+    (lambda: Graph.parse("n 2\n1 x\n"), ParseError, "bad integer in a 'n' file"),
+    # geometry
+    (lambda: RationalPoint.midpoint(Vertex01.from_string("10"), Vertex01.from_string("101")),
+     DimensionMismatchError, "midpoint of dims 2 and 3"),
+    (lambda: lp_feasible(LPProblem(-1, ())), InvalidParameterError,
+     "variable count must be >= 0"),
+    (lambda: lp_feasible(LPProblem(2, (), (1,))), DimensionMismatchError,
+     "objective width does not match variable count"),
 ], ids=["theorem1_verify", "theorem1_project", "lemma1_project", "lemma1_lift",
-        "lop_vertex_to_perm", "dcp_vertices", "report_assertion"])
-def test_refusals(call, error):
-    with pytest.raises(error):
+        "lop_vertex_to_perm", "dcp_vertices", "report_assertion",
+        "layout_index_of", "layout_header_short", "layout_header_param", "layout_json",
+        "vertex_dim", "vertex_bit", "vertex_set_text", "vertex_set_json_obj",
+        "vertex_set_json", "sequence_to_perm", "form_relation", "form_parse",
+        "graph_n", "matrix_cols", "graph_parse",
+        "midpoint_dims", "lp_variables", "lp_objective_width"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         call()
 
 
