@@ -219,8 +219,7 @@ def cmd_report(args) -> int:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
     report = Report.from_json_obj(obj)
-    out = report.to_json() if args.format == "json" else report.render_text()
-    sys.stdout.write(out)
+    _emit_report(report, args)
     return 0 if report.all_passed else 1
 
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import factorial, isqrt
-from operator import mul
 
 from .core import (
     AffineMapQ,
@@ -42,7 +41,6 @@ from .core import (
     word_to_string,
 )
 from .errors import (
-    CapacityError,
     DimensionMismatchError,
     InvalidParameterError,
     InvalidVertexError,
@@ -56,6 +54,7 @@ from .generators import (
     Graph,
     _bqp_word,
     _count_orders,
+    _refuse_over,
     bqp_vertices,
     dcp_vertices,
     lop_face,
@@ -331,14 +330,7 @@ def theorem1_verify(n: int, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     coordinate identities hold on every face vertex; every quadric vertex
     lifts onto the face and round-trips; the face equals the lift image.
     """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    # 2^n > max_perms, without building 2^n
-    if n >= max(max_perms, 0).bit_length():
-        raise CapacityError(
-            f"the 2^{n} orders of the theorem-1 face exceed the budget of {max_perms}; "
-            "raise max_perms to allow it"
-        )
+    _refuse_over(max_perms, repeat(2, n), f"the 2^{n} orders of the theorem-1 face")
     m = 2 * n
     report = Report("theorem1", {"n": n})
     face = lop_face(theorem1_system(n), max_perms=max_perms).face
@@ -473,12 +465,8 @@ def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     equalities.
     """
     n = g.n
-    # 5^n > max_perms, multiplied out only until it passes the budget
-    if any(states > max_perms for states in accumulate(repeat(5, n), mul)):
-        raise CapacityError(
-            f"the lemma-1 count for a graph on {n} vertices may hold 5^{n} states, "
-            f"over the budget of {max_perms}; raise max_perms to allow it"
-        )
+    _refuse_over(max_perms, repeat(5, n),
+                 f"the 5^{n} states of the lemma-1 count for a graph on {n} vertices")
     edges = [f"{i} {j}" for i, j in g.sorted_edges()]
     report = Report("lemma1", {"n": n, "edges": edges})
     system = lemma1_system(g)

@@ -581,19 +581,10 @@ class LinearForm:
     def describe(self, layout: CoordLayout) -> str:
         """Human-readable rendering using the layout's coordinate labels."""
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            label = layout.labels[i]
-            if c == 1:
-                terms.append(f"+ {label}" if terms else label)
-            elif c == -1:
-                terms.append(f"- {label}")
-            else:
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
-                head = f"{mag}*{label}"
-                terms.append(f"{sign} {head}" if terms else (f"-{head}" if c < 0 else head))
+        for label, c in zip(layout.labels, self.coeffs):
+            if c:
+                sign = ("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")
+                terms.append(f"{sign}{label}" if abs(c) == 1 else f"{sign}{abs(c)}*{label}")
         lhs = " ".join(terms) if terms else "0"
         return f"{lhs} {self.relation} {self.rhs}"
 

@@ -11,9 +11,9 @@ so a scan collects the distinct support patterns of the vertex set in one
 pass and evaluates the form once per pattern.  Words are picked out again
 (the first violating vertex, the vertices on a face) by testing their
 patterns against a set of patterns, in the vertex set's sorted order.
-``cut`` decides one equality this way, and ``_extraction`` states when a
-face is reported empty; ``extract_face`` and ``generators.lop_face`` both
-use them.
+``cut`` decides one equality this way, ``_not_supporting`` refuses one that
+neither relaxation supports, and ``_extraction`` states when a face is
+reported empty; ``extract_face`` and ``generators.lop_face`` both use them.
 """
 
 from __future__ import annotations
@@ -147,6 +147,20 @@ def cut(form: LinearForm, words) -> tuple[SupportCheck | None, set[int]]:
     return None, on
 
 
+def _not_supporting(form: LinearForm, layout: CoordLayout, words, extend=int):
+    """The NotSupportingError of an equality over ``layout`` that ``cut``
+    found valid in neither direction over ``words``: it names the least word
+    breaking <= and the least breaking >=, the ``.witness``, each mapped by
+    the order-keeping ``extend`` (the identity, ``int``, by default)."""
+    table = _pattern_values(form, words)
+    mask, rhs = form.support_mask, form.rhs
+    above = min(w for w in words if table[w & mask] > rhs)
+    below = min(w for w in words if table[w & mask] < rhs)
+    le, ge = (Vertex01(layout.dim, extend(w)) for w in (above, below))
+    return NotSupportingError(f"equality {form.describe(layout)} is not supporting-derived: "
+                              f"<= violated by {le}, >= violated by {ge}", form=form, witness=ge)
+
+
 @dataclass(frozen=True)
 class FaceExtraction:
     face: VertexSet
@@ -182,15 +196,7 @@ def extract_face(v: VertexSet, fs: FaceSystem) -> FaceExtraction:
     for form in fs.equalities:
         check, patterns = cut(form, words)
         if check is None:
-            chk_le = is_valid_inequality(form.relaxed("<="), v)
-            chk_ge = is_valid_inequality(form.relaxed(">="), v)
-            description = form.describe(fs.layout)
-            raise NotSupportingError(
-                f"equality {description} is not supporting-derived: "
-                f"<= violated by {chk_le.witness}, >= violated by {chk_ge.witness}",
-                form=form,
-                witness=chk_ge.witness,
-            )
+            raise _not_supporting(form, fs.layout, words)
         checks.append(check)
         surviving = [w for w in surviving if w & form.support_mask in patterns]
     return _extraction(v.restrict_to_words(surviving), checks, host_empty=not words)

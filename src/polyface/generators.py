@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from operator import gt, lt, mul, or_
+from operator import mul, or_
 
 from .core import CoordLayout, VertexSet, _kind, lop_pair_bits, pairs
 from .errors import CapacityError, DimensionMismatchError, InvalidParameterError, ParseError
-from .faces import FaceExtraction, FaceSystem, _extraction, cut, extract_face, three_cycle_forms
+from .faces import FaceExtraction, FaceSystem, _extraction, _not_supporting, cut, three_cycle_forms
 
 #: Largest number of linear orders enumerated by default (8 elements).
 DEFAULT_MAX_PERMS = 40320
@@ -42,6 +42,13 @@ def _all_words(dim: int) -> range:
     if dim >= MAX_VECTORS.bit_length():
         raise CapacityError(f"2^{dim} vectors exceed the enumeration cap of {MAX_VECTORS}")
     return range(1 << dim)
+
+
+def _refuse_over(budget: int, factors, what: str) -> None:
+    """CapacityError when the product of ``factors`` exceeds ``budget``; it
+    is multiplied out only until it passes the budget."""
+    if any(product > budget for product in accumulate(factors, mul)):
+        raise CapacityError(f"{what} exceed the budget of {budget}; raise max_perms to allow it")
 
 
 def _parse_counted_rows(text: str, keyword: str, build):
@@ -196,10 +203,10 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
     the form's support patterns on lop(m), and ``cut`` on them decides the
     equality as ``extract_face`` does.  They are enumerated under the larger
     of ``max_perms`` and the default budget, so forms on up to 8 elements are
-    always checked.  If the form fails both directions, ``extract_face``
-    raises its lop(m) error on the least extensions (``_least_extension``) of
-    the least orders of U that break <= and >=: they are the first words of
-    lop(m) that break each, and the equalities before hold on them.
+    always checked.  If the form fails both directions, ``faces``' refusal
+    names the least extensions (``_least_extension``) of the least orders of
+    U that break <= and >=: they are the first words of lop(m) that break
+    each.
 
     *The face search.*  Inserting e into an order of {e+1, ..., m} fixes
     every coordinate y(e, j), so an equality whose smallest element is e is
@@ -211,8 +218,8 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
     that clash only among small elements are checked last, after the
     partial orders of the large ones are built, and none of those need be
     emitted.  It never refuses lop(m) within the budget, which keeps at most
-    2 * (m-1)! partial orders, nor the Theorem-1 and Lemma-1 faces, which
-    kept at most m/2 per order of the face on every system measured.
+    2 * (m-1)! partial orders, nor the Theorem-1 face, which kept at most
+    m/2 per order of the face on every system measured.
 
     >>> fs = FaceSystem.parse("layout lop 3\\n1 0 0 = 0")
     >>> [v.to_string() for v in lop_face(fs).face]  # 2 before 1
@@ -233,9 +240,8 @@ def lop_face(fs: FaceSystem, max_perms: int = DEFAULT_MAX_PERMS) -> FaceExtracti
         orders = _lop_search(m, touched, {}, max(max_perms, DEFAULT_MAX_PERMS))
         check, patterns = cut(form, orders)
         if check is None:
-            host = [_least_extension(m, touched, min(w for w in orders if breaks(
-                form.evaluate_word(w), form.rhs))) for breaks in (gt, lt)]
-            return extract_face(VertexSet.from_words(CoordLayout.lop(m), host), fs)
+            raise _not_supporting(form, fs.layout, orders,
+                                  lambda w: _least_extension(m, touched, w))
         checks.append(check)
         # a form that touches nothing is tested at the first insertion
         tests.setdefault(touched[0] if touched else m, []).append((form.support_mask, patterns))
@@ -266,12 +272,8 @@ def _lop_search(m: int, elements, tests: dict, max_perms: int) -> list[int]:
     orders are kept; with no tests all k! orders would be emitted, so
     k! > ``max_perms`` is refused before the search."""
     k = len(elements)
-    # k! is multiplied out only until it passes the budget
-    if not tests and any(count > max_perms for count in accumulate(range(1, k + 1), mul)):
-        raise CapacityError(
-            f"the {k}! linear orders of {k} elements exceed the budget of {max_perms}; "
-            "raise max_perms to allow it"
-        )
+    if not tests:
+        _refuse_over(max_perms, range(1, k + 1), f"the {k}! linear orders of {k} elements")
     if not elements:
         return [0]
     pair_bits = lop_pair_bits(m)

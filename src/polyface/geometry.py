@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from math import lcm
 
 from .core import LinearForm, Vertex01, VertexSet
@@ -435,8 +435,4 @@ def clique_check(s: list[Vertex01], vset: VertexSet) -> bool:
     """True iff all vertices in ``s`` are pairwise adjacent in ``vset``."""
     if len(s) < 2:
         raise InvalidParameterError("a clique check needs at least two vertices")
-    for a in range(len(s)):
-        for b in range(a + 1, len(s)):
-            if not adjacent(s[a], s[b], vset):
-                return False
-    return True
+    return all(adjacent(u, v, vset) for u, v in combinations(s, 2))

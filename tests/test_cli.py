@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyface
 from polyface import CoordLayout, LinearForm, Report, VertexSet, bqp_vertices, lop_vertices
 from polyface.cli import build_parser, main
 from polyface.generators import Graph
@@ -55,6 +60,16 @@ def test_flags_and_defaults():
         },
         "report": {"--in": None, "--format": "text"},
     }
+
+
+def test_python_dash_m_runs_main(capsys):
+    argv = ["verify", "theorem1", "--n", "3", "--format", "json"]
+    src = str(Path(polyface.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "polyface", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    code, stdout, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout) == (code, stdout.encode()) and code == 0
 
 
 class TestGenerate:

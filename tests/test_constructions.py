@@ -480,7 +480,8 @@ class TestLemma1Verify:
     def test_cap_exceeded(self):
         # the count on 5 vertices may hold 5^5 = 3125 states
         cycle = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-        with pytest.raises(CapacityError, match=r"5\^5 states, over the budget of 3124"):
+        with pytest.raises(CapacityError, match=r"5\^5 states of the lemma-1 count for a graph "
+                                                r"on 5 vertices exceed the budget of 3124"):
             lemma1_verify(cycle, max_perms=3124)
         assert lemma1_verify(cycle, max_perms=3125).all_passed
 
@@ -505,7 +506,8 @@ class TestLemma1Verify:
             assert lemma1_verify(g).all_passed, g.sorted_edges()
 
     def test_seven_vertex_graph_needs_5_to_the_7_states(self):
-        with pytest.raises(CapacityError, match=r"5\^7 states, over the budget of 40320"):
+        with pytest.raises(CapacityError, match=r"5\^7 states of the lemma-1 count for a graph "
+                                                r"on 7 vertices exceed the budget of 40320"):
             lemma1_verify(Graph.empty(7))
         report = lemma1_verify(Graph.empty(7), max_perms=78125)
         assert report.all_passed and report.details["face_size"] == factorial(14)
@@ -518,6 +520,19 @@ class TestLemma1Verify:
         monkeypatch.setattr(constructions, "stable_vertices", fail)
         with pytest.raises(CapacityError, match=r"5\^100 states"):
             lemma1_verify(Graph.complete(100))
+
+
+@pytest.mark.parametrize("run, product", [
+    (lambda budget: theorem1_verify(3, max_perms=budget).all_passed, 8),
+    (lambda budget: lemma1_verify(Graph.empty(2), max_perms=budget).all_passed, 25),
+    (lambda budget: len(lop_vertices(4, max_perms=budget)) == 24, 24),
+], ids=["theorem1_2^3_orders", "lemma1_5^2_states", "lop_4!_orders"])
+def test_up_front_budget_boundary(run, product):
+    # one short of the product, zero and negative budgets are refused, each named
+    for budget in (product - 1, 0, -1):
+        with pytest.raises(CapacityError, match=re.escape(f"the budget of {budget}; raise")):
+            run(budget)
+    assert run(product)
 
 
 class TestDcpEmbedding:

@@ -234,6 +234,12 @@ class TestVertexSet:
             with pytest.raises(InvalidVertexError):
                 VertexSet.from_words(CoordLayout.lop(3), words)
 
+    def test_hash_and_repr(self):
+        vs = lop_vertices(3)
+        same = VertexSet.from_words(CoordLayout.lop(3), reversed(vs.words))
+        assert same == vs and hash(same) == hash(vs) and len({vs, same}) == 1
+        assert repr(vs) == "VertexSet(CoordLayout(lop, 3, dim=3), count=6)"
+
 
 class TestCustomLabels:
     LABELS = ("a", "b(1,2)", "c")
@@ -412,6 +418,16 @@ class TestLinearForm:
         layout = CoordLayout.lop(3)
         f = LinearForm((1, -1, 2), "<=", 1)
         assert f.describe(layout) == "y(1,2) - y(1,3) + 2*y(2,3) <= 1"
+
+    @pytest.mark.parametrize("coeffs, text", [
+        ((-1, 1, 0), "-y(1,2) + y(1,3) = 0"),
+        ((-2, 1, 0), "-2*y(1,2) + y(1,3) = 0"),
+        ((0, -1, -3), "-y(1,3) - 3*y(2,3) = 0"),
+        ((0, 0, 0), "0 = 0"),
+    ])
+    def test_describe_signs(self, coeffs, text):
+        # every term is its sign, then k* when |k| != 1, then its label
+        assert LinearForm(coeffs, "=", 0).describe(CoordLayout.lop(3)) == text
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

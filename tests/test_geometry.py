@@ -13,6 +13,8 @@ from polyface import (
     InvalidVertexError,
     LPConstraint,
     LPProblem,
+    LPResult,
+    PolyfaceError,
     RationalPoint,
     Vertex01,
     VertexSet,
@@ -28,7 +30,8 @@ from polyface import (
     lp_feasible,
     theorem1_system,
 )
-from polyface.geometry import _hull, _nonadjacency_pair
+import polyface.geometry as geometry
+from polyface.geometry import _audit, _hull, _nonadjacency_pair, _Tableau
 
 
 def solve_unique(rows, rhs):
@@ -473,6 +476,38 @@ class TestIsFaceSubset:
     def test_empty_subset_rejected(self):
         with pytest.raises(InvalidParameterError):
             is_face_subset([], lop_vertices(3))
+
+
+class TestInternalErrors:
+    """The checks that stop a wrong LP answer from leaving the module."""
+
+    PROBLEM = LPProblem(2, (LPConstraint((1, 1), 1),))
+
+    def test_audit_refuses_a_point_off_an_equality(self):
+        with pytest.raises(PolyfaceError, match="^simplex returned a point violating an equality$"):
+            _audit(self.PROBLEM, (Fraction(1), Fraction(1)))
+
+    def test_audit_refuses_a_negative_coordinate(self):
+        with pytest.raises(PolyfaceError, match="^simplex returned a negative coordinate$"):
+            _audit(self.PROBLEM, (Fraction(2), Fraction(-1)))
+
+    def test_unbounded_phase_one(self, monkeypatch):
+        monkeypatch.setattr(_Tableau, "minimize", lambda self, enterable: "unbounded")
+        with pytest.raises(PolyfaceError, match="^internal error: unbounded feasibility phase$"):
+            lp_feasible(self.PROBLEM)
+
+    @pytest.mark.parametrize("duals, message", [
+        # 0.x <= 1 is not tight on the subset
+        ((0, 0, 0, 1), "face certificate failed equality re-validation"),
+        # 0.x <= 0 is tight on every vertex, with no unit gap off the subset
+        ((0, 0, 0, 0), "face certificate failed gap re-validation"),
+    ])
+    def test_face_certificate_revalidated(self, monkeypatch, duals, message):
+        answer = LPResult("optimal", None, Fraction(0), tuple(map(Fraction, duals)))
+        monkeypatch.setattr(geometry, "_hull", lambda *args: answer)
+        subset = [Vertex01.from_string("111"), Vertex01.from_string("011")]
+        with pytest.raises(PolyfaceError, match=f"^{message}$"):
+            is_face_subset(subset, lop_vertices(3))
 
 
 class TestCliqueCheck:
