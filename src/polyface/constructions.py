@@ -14,7 +14,7 @@ failures become report entries with witnesses, never crashes.
 ``theorem1_verify`` enumerates only the face (``lop_face``), and
 ``lemma1_verify`` counts its face's orders by their images, so both reach
 past the m! orders of the host.
-``dcp_verify`` enumerates both vertex sets in full.
+``dcp_verify`` enumerates both vertex sets in full, once both budgets pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .core import (
     lop_vertex_to_perm,
     perm_to_lop_vertex,
     pairs,
-    sequence_to_perm,
     triples,
     word_to_string,
 )
@@ -54,6 +53,7 @@ from .generators import (
     Graph,
     _bqp_word,
     _count_orders,
+    _refuse_columns,
     _refuse_over,
     bqp_vertices,
     dcp_vertices,
@@ -163,16 +163,12 @@ def _require_object(value, what: str) -> dict:
     return value
 
 
-def _coeffs(layout: CoordLayout, terms: dict[str, int]) -> tuple[int, ...]:
-    """Coefficients over ``layout``: ``terms[label]`` at each listed label, 0 elsewhere."""
+def _form(layout: CoordLayout, terms: dict, relation: str = "=", rhs: int = 0) -> LinearForm:
+    """The form over ``layout`` with ``terms[label]`` at each listed label, 0 elsewhere."""
     coeffs = [0] * layout.dim
     for label, c in terms.items():
         coeffs[layout.index_of(label)] = c
-    return tuple(coeffs)
-
-
-def _form(layout: CoordLayout, terms: dict, relation: str = "=", rhs: int = 0) -> LinearForm:
-    return LinearForm(_coeffs(layout, terms), relation, rhs)
+    return LinearForm(tuple(coeffs), relation, rhs)
 
 
 def _y(a: int, b: int) -> str:
@@ -195,12 +191,12 @@ def _check_identities(
 
 
 def _check_lifts(
-    report: Report, on_face: Callable[[int], bool], projection: AffineMapQ,
+    report: Report, on_face: Callable[[int], bool], image_of: Callable[[int], int | None],
     lifts: list[tuple[Vertex01, Permutation]], back_name: str,
 ) -> list[int]:
     """Record that each permutation lift lands on the face of the order
     polytope, as the test ``on_face(word)`` reads it, and projects back onto
-    its target vertex.
+    its target vertex, as ``image_of(word)`` reads it.
 
     ``lifts`` pairs each target vertex with its lift, in sorted target order;
     each witness names the first failing target.  Returns the lifted words.
@@ -212,7 +208,7 @@ def _check_lifts(
         words.append(word)
         if witness_face is None and not on_face(word):
             witness_face = f"lift of {x} -> {perm.sequence_str()}"
-        image = projection.apply_word(word)
+        image = image_of(word)
         if witness_back is None and image != x.word:
             target = "a point that is not 0/1" if image is None else word_to_string(image, x.dim)
             witness_back = f"lift of {x} projects to {target}"
@@ -275,11 +271,9 @@ def theorem1_project(n: int) -> AffineMapQ:
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     layout = CoordLayout.lop(2 * n)
-    rows = [_coeffs(layout, {_y(2 * i - 1, 2 * i): 1}) for i in range(1, n + 1)]
-    rows += [
-        _coeffs(layout, {_y(2 * j - 1, 2 * j): 1, _y(2 * i, 2 * j): -1}) for i, j in pairs(n)
-    ]
-    return AffineMapQ.linear(rows)
+    rows = [_form(layout, {_y(2 * i - 1, 2 * i): 1}) for i in range(1, n + 1)]
+    rows += [_form(layout, {_y(2 * j - 1, 2 * j): 1, _y(2 * i, 2 * j): -1}) for i, j in pairs(n)]
+    return AffineMapQ(tuple(rows))
 
 
 def _validate_bqp_vertex(x: Vertex01, n: int) -> list[int]:
@@ -314,7 +308,7 @@ def theorem1_lift(x: Vertex01) -> Permutation:
     n = _bqp_n_from_dim(x.dim)
     zeros, ones = _zeros_ones(_validate_bqp_vertex(x, n))
     middle = [e for i in zeros for e in (2 * i, 2 * i - 1)]
-    return sequence_to_perm([2 * i - 1 for i in ones] + middle + [2 * i for i in ones])
+    return Permutation([2 * i - 1 for i in ones] + middle + [2 * i for i in ones])
 
 
 def theorem1_verify(n: int, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
@@ -331,7 +325,6 @@ def theorem1_verify(n: int, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     lifts onto the face and round-trips; the face equals the lift image.
     """
     _refuse_over(max_perms, repeat(2, n), f"the 2^{n} orders of the theorem-1 face")
-    m = 2 * n
     report = Report("theorem1", {"n": n})
     face = lop_face(theorem1_system(n), max_perms=max_perms).face
     bqp = bqp_vertices(n)
@@ -343,11 +336,12 @@ def theorem1_verify(n: int, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
         witness=f"face has {len(face)} vertices, expected {2 ** n}",
     )
 
-    images = [projection.apply_word(word) for word in face.words]
-    bad = next((w for w, image in zip(face.words, images) if image is None), None)
+    # each face word is projected once; the lift checks read these images
+    images = {word: projection.apply_word(word) for word in face.words}
+    bad = next((w for w, image in images.items() if image is None), None)
     report.check(
         "projection_bijective_onto_bqp",
-        bad is None and len(set(images)) == len(face) and set(images) == set(bqp.words),
+        bad is None and sorted(images.values()) == list(bqp.words),
         witness="image set mismatch" if bad is None
         else f"non-integral image of {word_to_string(bad, face.layout.dim)}",
     )
@@ -370,29 +364,32 @@ def theorem1_verify(n: int, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
     _check_identities(report, face, "identity_cross_odd_odd", cross_oo)
     _check_identities(report, face, "identity_product", product)
 
+    def image_of(word: int) -> int | None:
+        return images[word] if word in images else projection.apply_word(word)
+
     lifts = [(x, theorem1_lift(x)) for x in bqp]
-    lift_words = _check_lifts(
-        report, frozenset(face.words).__contains__, projection, lifts, "lift_roundtrip")
+    lift_words = _check_lifts(report, images.__contains__, image_of, lifts, "lift_roundtrip")
     report.check(
         "face_equals_lift_image",
-        set(face.words) == set(lift_words),
+        images.keys() == set(lift_words),
         witness="face and lift image differ as sets",
     )
 
     # a word determines its order, so each lift names its word's sequence;
     # only face words that no lift reaches, which fail a check, are decoded
-    sequences = dict(zip(lift_words, (perm.sequence_str() for _, perm in lifts)))
+    lift_sequences = [perm.sequence_str() for _, perm in lifts]
+    sequences = dict(zip(lift_words, lift_sequences))
     splits = [_zeros_ones(x.bits[:n]) for x, _ in lifts]
     report.details = {
         "n": n,
-        "lop_size": factorial(m),
+        "lop_size": factorial(2 * n),
         "face_size": len(face),
         "face_sequences": [sequences.get(w) or lop_vertex_to_perm(
-            Vertex01(host.dim, w), m).sequence_str() for w in face.words],
+            Vertex01(host.dim, w), 2 * n).sequence_str() for w in face.words],
         "lifts": [
             {"diagonal": x.to_string()[:n], "k": len(zeros), "zeros_desc": zeros,
-             "ones_desc": ones, "sequence": perm.sequence_str()}
-            for (x, perm), (zeros, ones) in zip(lifts, splits)
+             "ones_desc": ones, "sequence": sequence}
+            for (x, _), (zeros, ones), sequence in zip(lifts, splits, lift_sequences)
         ],
     }
     return report
@@ -422,7 +419,7 @@ def lemma1_project(n: int) -> AffineMapQ:
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     layout = CoordLayout.lop(2 * n)
-    return AffineMapQ.linear([_coeffs(layout, {_y(i, n + i): 1}) for i in range(1, n + 1)])
+    return AffineMapQ(tuple(_form(layout, {_y(i, n + i): 1}) for i in range(1, n + 1)))
 
 
 def lemma1_lift(x: Vertex01, g: Graph) -> Permutation:
@@ -445,7 +442,7 @@ def lemma1_lift(x: Vertex01, g: Graph) -> Permutation:
         if x.bit(i - 1) and x.bit(j - 1):
             raise InvalidVertexError(f"{x} is not stable: edge ({i},{j}) fully set")
     zeros, ones = _zeros_ones(x.bits)
-    return sequence_to_perm([n + i for i in zeros] + ones + [n + i for i in ones] + zeros)
+    return Permutation([n + i for i in zeros] + ones + [n + i for i in ones] + zeros)
 
 
 def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
@@ -493,7 +490,7 @@ def lemma1_verify(g: Graph, max_perms: int = DEFAULT_MAX_PERMS) -> Report:
         return all(form.holds(form.evaluate_word(word)) for form in system.equalities)
 
     lifts = [(x, lemma1_lift(x, g)) for x in stable]
-    _check_lifts(report, on_face, projection, lifts, "lift_projects_back")
+    _check_lifts(report, on_face, projection.apply_word, lifts, "lift_projects_back")
 
     report.details = {
         "n": n,
@@ -575,11 +572,13 @@ def dcp_verify(
     that the z=0, h=1 face projects bijectively onto the order polytope
     vertex set, and the two dependent-coordinate identities on the face
     (complements yb = 1 - y and slacks t = 1 - (y_ij + y_jk - y_ik)).
-    The order budget is checked before the embedding's C(m,3) rows are built.
+    The m! orders, then the embedding's columns, are budgeted before anything is enumerated.
     """
-    lop = lop_vertices(m, max_perms=max_perms)
+    _refuse_over(max_perms, range(1, m + 1), f"the {m}! linear orders of {m} elements")
     emb = dcp_embedding(m)
     ncols = emb.layout.dim
+    _refuse_columns(ncols, max_cols)
+    lop = lop_vertices(m, max_perms=max_perms)
     report = Report("dcp", {"m": m})
     expected_rows = m * (m - 1) * (m + 1) // 6
     report.check(
@@ -604,14 +603,13 @@ def dcp_verify(
     )
 
     # On the face, yb(i,j) = 1 - y(i,j) and t(i,j,k) = 1 - (y_ij + y_jk - y_ik).
-    host = emb.layout
     complements = [
-        (f"pair ({i},{j})", _form(host, {_y(i, j): 1, f"yb({i},{j})": 1}, "=", 1))
+        (f"pair ({i},{j})", _form(emb.layout, {_y(i, j): 1, f"yb({i},{j})": 1}, "=", 1))
         for i, j in pairs(m)
     ]
     slacks = [
         (f"triple ({i},{j},{k})", _form(
-            host, {_y(i, j): 1, _y(j, k): 1, _y(i, k): -1, f"t({i},{j},{k})": 1}, "=", 1))
+            emb.layout, {_y(i, j): 1, _y(j, k): 1, _y(i, k): -1, f"t({i},{j},{k})": 1}, "=", 1))
         for i, j, k in triples(m)
     ]
     _check_identities(report, face, "complement_coordinates", complements)

@@ -51,6 +51,12 @@ def _refuse_over(budget: int, factors, what: str) -> None:
         raise CapacityError(f"{what} exceed the budget of {budget}; raise max_perms to allow it")
 
 
+def _refuse_columns(n: int, max_cols: int) -> None:
+    """CapacityError when ``n`` columns exceed the backtracking cap ``max_cols``."""
+    if n > max_cols:
+        raise CapacityError(f"{n} columns exceed the backtracking cap of {max_cols}")
+
+
 def _parse_counted_rows(text: str, keyword: str, build):
     """``build(count, rows)`` for a file of one line ``<keyword> <count>``
     and then one row of integers per line.  Malformed text, and anything
@@ -405,8 +411,7 @@ def dcp_vertices(
     ['0011', '0101', '0110', '1001', '1010', '1100']
     """
     n = b.n
-    if n > max_cols:
-        raise CapacityError(f"{n} columns exceed the backtracking cap of {max_cols}")
+    _refuse_columns(n, max_cols)
     if layout is None:
         layout = CoordLayout.dcp(n)
     elif layout.dim != n:

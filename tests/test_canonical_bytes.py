@@ -31,6 +31,7 @@ THEOREM1 = {
     2: "9c845372f29b05112873e72bf892e812ad02f9695fac0ef5f200c4cc5b573e19",
     3: "8cebef31791c6040765f55820fafd19290c290c9089d8cffa55ed2d1bb26e92a",
     8: "aae209de9a750e213fb9f699bfa0994f84a66b623851d5e7e699068002f8ec5d",
+    10: "ccfde5108859f53f8d253aa27dfcbe2ba6af6a641878d09aeb277641bbc616ac",
 }
 
 LEMMA1 = {

@@ -597,8 +597,17 @@ class TestDcpVerify:
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_m_below_three_rejected(self, m):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="need m >= 3"):
             dcp_verify(m)
+
+    def test_column_cap_fails_before_any_enumeration(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a vertex set was enumerated before the column cap was checked")
+
+        monkeypatch.setattr(constructions, "lop_vertices", no_enumeration)
+        monkeypatch.setattr(constructions, "dcp_vertices", no_enumeration)
+        with pytest.raises(CapacityError, match="212 columns exceed the backtracking cap of 40"):
+            dcp_verify(10, max_perms=4_000_000)
 
     def test_m6_needs_budget(self):
         with pytest.raises(CapacityError):
@@ -815,6 +824,18 @@ class TestVerifierFailures:
         report = theorem1_verify(2)
         assert failing(report) == {
             "lift_roundtrip": "lift of 010 projects to 000",
+            "face_equals_lift_image": "face and lift image differ as sets",
+        }
+
+    def test_theorem1_lift_off_the_face(self, monkeypatch):
+        # 2431 is no face word, so its image is computed, and it is not 0/1
+        lift = constructions.theorem1_lift
+        monkeypatch.setattr(constructions, "theorem1_lift", lambda x: (
+            Permutation((2, 4, 3, 1)) if x.to_string() == "010" else lift(x)))
+        report = theorem1_verify(2)
+        assert failing(report) == {
+            "lift_lands_on_face": "lift of 010 -> 2431",
+            "lift_roundtrip": "lift of 010 projects to a point that is not 0/1",
             "face_equals_lift_image": "face and lift image differ as sets",
         }
 
